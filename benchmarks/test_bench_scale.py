@@ -11,10 +11,9 @@ it back, in two regimes:
 - **Population regime** (10^3 → 10^5 scholars): the streamed world +
   sharded scale plane (:mod:`repro.scale`).  Worlds are derived lazily
   from the seed, indexes are hash-sharded, and retrieval/screening/
-  scoring fan out per shard.  Measures per-query cost (deterministic
-  cost units and wall-clock) at each size, the modeled shard-parallel
-  speedup, the *measured* process-backend speedup (seed-rehydrated
-  worker processes vs a sequential baseline, bit-identical across a
+  scoring fan out per shard.  Measures per-query wall-clock time at
+  each size, the process-backend speedup (seed-rehydrated worker
+  processes vs a sequential baseline, bit-identical across a
   processes × shards grid), the string-interning savings, and anchors
   correctness against the brute-force full scan.  Writes
   ``BENCH_scale.json`` at the repo root, uploaded by CI's
@@ -122,8 +121,6 @@ def test_bench_scale_population(benchmark):
             f"{entry['authors']:,}",
             f"{entry['ingest_seconds']:.1f}s",
             f"{entry['index']['postings']:,}",
-            f"{entry['mean_query_cost_units']:,.0f}",
-            f"{entry['mean_modeled_speedup']:.2f}x",
             f"{entry['mean_wall_seconds'] * 1000:.1f}ms",
             {True: "yes", False: "NO", None: "-"}[
                 entry["topk_matches_brute_force"]
@@ -138,8 +135,6 @@ def test_bench_scale_population(benchmark):
             "scholars",
             "ingest",
             "postings",
-            "query cost",
-            "speedup@8",
             "wall/query",
             "brute=",
         ),
@@ -153,8 +148,8 @@ def test_bench_scale_population(benchmark):
     )
     scaling = report["scaling"]
     print(
-        f"population x{scaling['size_ratio']:.0f} -> query cost "
-        f"x{scaling['query_cost_ratio']:.2f} (sublinear={scaling['sublinear']})"
+        f"population x{scaling['size_ratio']:.0f} -> query wall "
+        f"x{scaling['query_wall_ratio']:.2f} (sublinear={scaling['sublinear']})"
     )
     process = report["process"]
     print(
@@ -162,8 +157,7 @@ def test_bench_scale_population(benchmark):
         f"({process['workers']} workers on {process['cpus']} cpus): "
         f"{process['sequential_wall_seconds'] * 1000:.1f}ms sequential -> "
         f"{process['process_wall_seconds'] * 1000:.1f}ms process per query, "
-        f"measured x{process['measured_speedup']:.2f} "
-        f"(modeled x{process['modeled_speedup']:.2f}); "
+        f"measured x{process['measured_speedup']:.2f}; "
         f"first query {process['first_query_wall_seconds'] * 1000:.0f}ms "
         f"incl. spawn+rehydrate"
     )
@@ -181,10 +175,6 @@ def test_bench_scale_population(benchmark):
 
     # The 10^5-scholar world must actually have been swept.
     assert report["sizes"][-1]["authors"] >= 100_000
-    # Shard-parallel scoring models >= 3x over sequential at 8 workers.
-    assert all(
-        entry["mean_modeled_speedup"] >= 3.0 for entry in report["sizes"]
-    )
     # Wherever the brute-force reference ran, the sharded top-k matched
     # it entry-for-entry.
     verified = [
@@ -193,7 +183,7 @@ def test_bench_scale_population(benchmark):
         if entry["topk_matches_brute_force"] is not None
     ]
     assert verified and all(verified)
-    # Per-query cost grows sub-linearly in world size.
+    # Per-query wall time grows sub-linearly in world size.
     assert scaling["sublinear"]
     # Interning must save memory, not cost it.
     assert interning["saved_bytes"] > 0
@@ -202,7 +192,7 @@ def test_bench_scale_population(benchmark):
     # against the brute-force reference.  This holds on any host.
     assert process["topk_identical"]
     assert process["grid_identical"]
-    # The *measured* wall-clock claim needs real cores to parallelize
-    # over; on starved hosts (CI is >= 4) the modeled number carries it.
+    # The wall-clock speedup claim needs real cores to parallelize
+    # over, so it is asserted only on hosts that have them (CI is >= 4).
     if process["cpus"] >= 4:
         assert process["measured_speedup"] >= 2.5, process

@@ -61,9 +61,7 @@ def config_from_payload(payload: dict) -> PipelineConfig:
     fan-out; output is identical at any value), ``executor_backend``
     (one of :data:`repro.concurrency.EXECUTOR_BACKENDS` — validated
     here against that same registry, so the API can never accept a
-    backend ``create_executor`` would reject) and ``shards``
-    (hash-sharded feature store; likewise output-identical), plus
-    ``warm_cache`` /
+    backend ``create_executor`` would reject), plus ``warm_cache`` /
     ``warm_cache_ttl`` / ``warm_cache_capacity`` (the deployment-shared
     warm-path retrieval plane; rankings are identical warm or cold),
     ``top_k`` (rank only the exact best k) and ``scoring_plane``
@@ -99,7 +97,6 @@ def config_from_payload(payload: dict) -> PipelineConfig:
             max_candidates=int(payload.get("max_candidates", 50)),
             workers=int(payload.get("workers", 1)),
             executor_backend=str(payload.get("executor_backend", "auto")),
-            shards=int(payload.get("shards", 1)),
             warm_cache=bool(payload.get("warm_cache", False)),
             warm_cache_ttl=payload.get("warm_cache_ttl"),
             warm_cache_capacity=int(payload.get("warm_cache_capacity", 8192)),

@@ -391,13 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "(output identical whichever backend runs them)",
         )
         sub.add_argument(
-            "--shards",
-            type=int,
-            default=1,
-            help="hash-shard count for the scoring feature store "
-            "(output identical at any value)",
-        )
-        sub.add_argument(
             "--log-json",
             metavar="PATH",
             default=None,
@@ -449,7 +442,6 @@ def _run_demo(args) -> int:
         hub,
         config=PipelineConfig(
             warm_cache=args.warm_cache,
-            shards=max(1, args.shards),
             executor_backend=args.backend,
         ),
     )
@@ -604,7 +596,6 @@ def _run_recommend(args) -> int:
     config = PipelineConfig(
         workers=max(1, args.workers),
         executor_backend=args.backend,
-        shards=max(1, args.shards),
         warm_cache=args.warm_cache,
         top_k=args.top_k,
     )
@@ -682,7 +673,6 @@ def _run_assign(args) -> int:
         hub,
         config=PipelineConfig(
             warm_cache=args.warm_cache,
-            shards=max(1, args.shards),
             top_k=args.top_k,
             executor_backend=args.backend,
         ),
@@ -982,15 +972,13 @@ def _run_scale_bench(args) -> int:
     )
     print(
         f"  {'authors':>9s} {'ingest_s':>9s} {'postings':>9s} "
-        f"{'query_units':>11s} {'speedup':>8s} {'wall_s':>8s} {'brute=':>7s}"
+        f"{'wall_s':>8s} {'brute=':>7s}"
     )
     for entry in report["sizes"]:
         verified = entry["topk_matches_brute_force"]
         print(
             f"  {entry['authors']:>9d} {entry['ingest_seconds']:>9.2f} "
             f"{entry['index']['postings']:>9d} "
-            f"{entry['mean_query_cost_units']:>11.1f} "
-            f"{entry['mean_modeled_speedup']:>8.2f} "
             f"{entry['mean_wall_seconds']:>8.4f} "
             f"{'yes' if verified else ('-' if verified is None else 'NO'):>7s}"
         )
@@ -1003,8 +991,8 @@ def _run_scale_bench(args) -> int:
     if "scaling" in report:
         scaling = report["scaling"]
         print(
-            f"  scaling: size x{scaling['size_ratio']:g} -> query cost "
-            f"x{scaling['query_cost_ratio']:g} "
+            f"  scaling: size x{scaling['size_ratio']:g} -> query wall "
+            f"x{scaling['query_wall_ratio']:g} "
             f"({'sub-linear' if scaling['sublinear'] else 'NOT sub-linear'})"
         )
     if "process" in report:
@@ -1012,8 +1000,7 @@ def _run_scale_bench(args) -> int:
         print(
             f"  process backend ({process['size']} authors, "
             f"{process['workers']} workers, {process['cpus']} cpus): "
-            f"measured x{process['measured_speedup']:g} "
-            f"(modeled x{process['modeled_speedup']:g}), "
+            f"measured x{process['measured_speedup']:g}, "
             f"{process['sequential_wall_seconds']:g}s -> "
             f"{process['process_wall_seconds']:g}s per query, "
             f"first query {process['first_query_wall_seconds']:g}s "

@@ -2,10 +2,10 @@
 
 The thread backend keeps the pipeline's determinism contract but not
 its wall-clock promise — the scale plane's retrieve/screen/score phases
-are pure-Python and CPU-bound, so threads serialize on the GIL and
-EXP-SCALE could only report a *modeled* LPT speedup.
+are pure-Python and CPU-bound, so threads serialize on the GIL.
 :class:`ProcessExecutor` runs the same ``Executor`` contract over
-spawned worker **processes**, each with its own interpreter and GIL.
+spawned worker **processes**, each with its own interpreter and GIL;
+EXP-SCALE measures its wall-clock speedup against a sequential plane.
 
 Three problems make processes harder than threads, and this module
 answers each:

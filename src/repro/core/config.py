@@ -243,14 +243,6 @@ class PipelineConfig:
         ``False`` (the default) is the paper's pure on-the-fly mode.
         Rankings are bit-identical either way — only request volume
         changes.
-    shards:
-        Hash-shard count for the scoring feature store (and, through the
-        API, the scale plane's indexes).  ``1`` (the default) keeps the
-        monolithic structures; higher values partition candidates by
-        ``hash(candidate_id) % shards`` (:mod:`repro.scale`) so feature
-        builds fan out per shard through the worker pool.  Rankings are
-        bit-identical at any shard count — sharding only buys
-        parallelism and finer-grained locking.
     warm_cache_ttl:
         Profile-store entry lifetime in *virtual* seconds; ``None``
         (default) keeps entries until the freshness epoch bumps or LRU
@@ -285,7 +277,6 @@ class PipelineConfig:
     current_year: int = 2019
     workers: int = 1
     executor_backend: str = "auto"
-    shards: int = 1
     warm_cache: bool = False
     warm_cache_ttl: float | None = None
     warm_cache_capacity: int = 8192
@@ -310,8 +301,6 @@ class PipelineConfig:
                 f"executor_backend must be one of {known}, "
                 f"got {self.executor_backend!r}"
             )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.recency_half_life_years <= 0:
             raise ValueError("recency_half_life_years must be > 0")
         if self.warm_cache_ttl is not None and self.warm_cache_ttl < 0:

@@ -108,15 +108,7 @@ class Minaret:
             from repro.scoring.features import FeatureStore, ScoringContext
 
             if plane is not None:
-                self._features = plane.feature_store(
-                    shards=self._config.shards, executor=self._executor
-                )
-            elif self._config.shards > 1:
-                from repro.scale import ShardedFeatureStore
-
-                self._features = ShardedFeatureStore(
-                    self._config.shards, executor=self._executor
-                )
+                self._features = plane.feature_store()
             else:
                 self._features = FeatureStore()
             scoring_context = ScoringContext.from_config(self._config)

@@ -239,7 +239,7 @@ class RetrievalPlane:
         obs.emit("retrieval_epoch_bumped", clock=self._clock, plane=self._name, epoch=epoch)
         return epoch
 
-    def feature_store(self, shards: int = 1, executor=None):
+    def feature_store(self):
         """The plane's shared scoring feature store (lazily created).
 
         Candidate features cached here are validated against this
@@ -248,30 +248,14 @@ class RetrievalPlane:
         plane: every pipeline attached to this plane — and therefore
         every request of an API deployment — reuses the same compiled
         features.
-
-        ``shards > 1`` creates a hash-sharded store
-        (:class:`repro.scale.ShardedFeatureStore`) whose per-shard
-        batches fan out through ``executor``.  The store is created on
-        first call; later callers share it whatever sharding they ask
-        for — one plane, one store, one epoch discipline.
         """
         with self._lock:
             if self._feature_store is None:
-                if shards > 1:
-                    from repro.scale import ShardedFeatureStore
+                from repro.scoring.features import FeatureStore
 
-                    self._feature_store = ShardedFeatureStore(
-                        shards,
-                        epoch_provider=lambda: self.epoch,
-                        name=self._name,
-                        executor=executor,
-                    )
-                else:
-                    from repro.scoring.features import FeatureStore
-
-                    self._feature_store = FeatureStore(
-                        epoch_provider=lambda: self.epoch, name=self._name
-                    )
+                self._feature_store = FeatureStore(
+                    epoch_provider=lambda: self.epoch, name=self._name
+                )
             return self._feature_store
 
     # ------------------------------------------------------------------

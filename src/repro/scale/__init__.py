@@ -1,13 +1,13 @@
 """``repro.scale`` — the scale plane: sharded indexes over streamed worlds.
 
 MINARET's pitch is recommending reviewers from the *whole* online
-scholarly population, but a monolithic :class:`repro.storage.InvertedIndex`,
-one global :class:`repro.scoring.FeatureStore` and one COI posting map
-serialize every query behind single locks and single cores.  This
-package shards all three by ``hash(candidate_id) % n_shards``
-(:func:`shard_of` — a stable blake2b hash, not Python's per-process
-``hash``), gives each shard its own lock and epoch stamp, and fans
-per-shard work out through the existing
+scholarly population, but a monolithic :class:`repro.storage.InvertedIndex`
+and one COI posting map serialize every query behind single locks and
+single cores.  This package shards both by ``hash(candidate_id) %
+n_shards`` (:func:`shard_of` — a stable blake2b hash, not Python's
+per-process ``hash``), gives each index shard its own lock and epoch
+stamp, and fans per-shard work out as task descriptors
+(:mod:`repro.scale.worker`) through the existing
 :class:`repro.concurrency.Executor`, merging with the canonical
 ``(-score, candidate_id)`` tie-break so results are **bit-identical** to
 the unsharded path at any worker or shard count.
@@ -19,7 +19,6 @@ the retrieved pool — realising candidate blocks on demand instead of
 holding O(world) scholars resident.
 """
 
-from repro.scale.features import ShardedFeatureStore
 from repro.scale.plane import PoolMember, ScalePlane, ScaleVerdict
 from repro.scale.sharding import ShardedInvertedIndex, shard_of
 from repro.scale.worker import (
@@ -40,7 +39,6 @@ __all__ = [
     "ScaleWorkerBootstrap",
     "ScoreRowsTask",
     "ScreenShardTask",
-    "ShardedFeatureStore",
     "ShardedInvertedIndex",
     "run_scale_task",
     "shard_of",

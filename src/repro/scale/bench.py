@@ -5,18 +5,17 @@ pytest benchmark ``benchmarks/test_bench_scale.py`` — so the CLI, the
 CI artifact and the docs all describe the same measurement:
 
 - **Pool-size sweep**: worlds of 10^3 → 10^5+ scholars are streamed
-  into a sharded :class:`~repro.scale.plane.ScalePlane`; per-query cost
-  (deterministic cost units *and* wall-clock) is recorded at each size.
-  Per-query work tracks the retrieved pool, not the population, so cost
-  growth is sub-linear in world size — the claim the sweep table checks.
-- **Shard-parallel speedup**: per-shard cost accounting feeds the LPT
-  makespan model (:func:`~repro.scale.plane.modeled_speedup`) at 1-8
-  workers.  Pure-Python shard tasks are GIL-bound under the thread
-  backend, so the *measured* half of the claim comes from the process
+  into a sharded :class:`~repro.scale.plane.ScalePlane`; per-query
+  wall-clock time and the retrieved pool are recorded at each size.
+  Per-query work tracks the retrieved pool, not the population, so
+  wall time grows sub-linearly in world size — the claim the sweep
+  table checks.
+- **Shard-parallel speedup**: pure-Python shard tasks are GIL-bound
+  under the thread backend, so the speedup is measured on the process
   backend: :func:`measure_process_speedup` times the same queries
   through seed-rehydrated worker processes against a sequential
-  baseline, reports measured next to modeled, and proves the top-k
-  bit-identical to brute force across a processes × shards grid.
+  baseline, and proves the top-k bit-identical to brute force across a
+  processes × shards grid.
 - **Correctness anchor**: at sizes where a full scan is affordable the
   sharded top-k is compared entry-for-entry against
   :meth:`~repro.scale.plane.ScalePlane.brute_force_topk`.
@@ -33,13 +32,10 @@ import tracemalloc
 from collections import Counter
 
 from repro.concurrency import create_executor
-from repro.scale.plane import ScalePlane, lpt_makespan, modeled_speedup
+from repro.scale.plane import ScalePlane
 from repro.scale.worker import ScaleWorkerBootstrap
 from repro.world.config import WorldConfig
 from repro.world.streaming import StreamingWorld
-
-#: Worker counts the speedup model is evaluated at.
-_WORKER_SWEEP = (1, 2, 4, 8)
 
 
 def popular_labels(world: StreamingWorld, sample: int = 500, count: int = 6) -> list[str]:
@@ -143,8 +139,7 @@ def measure_process_speedup(
       rehydration) and excluded from the steady-state mean, exactly as a
       persistent serving pool would amortize it.  ``cpus`` records the
       cores available — on a single-core host the measured number is
-      honest (≈1× or below), and the modeled LPT speedup alongside it
-      says what the same run achieves when cores exist.
+      ≈1× or below.
     - **Bit-identity grid** at ``grid_size`` scholars: every
       ``grid_processes`` × ``grid_shards`` combination must reproduce
       the brute-force reference top-k entry-for-entry.
@@ -172,9 +167,6 @@ def measure_process_speedup(
     # Warm caches (world LRU blocks, feature store), then measure.
     timed_run(sequential_plane)
     seq_walls, seq_hits = timed_run(sequential_plane)
-    __, seq_stats = sequential_plane.topk(
-        query_set[0], submitters, k=k, pool_limit=pool_limit
-    )
 
     executor = create_executor(
         process_workers,
@@ -238,9 +230,6 @@ def measure_process_speedup(
         "process_wall_seconds": round(proc_mean, 4),
         "measured_speedup": round(seq_mean / proc_mean, 3) if proc_mean else 0.0,
         "first_query_wall_seconds": round(first_query_wall, 4),
-        "modeled_speedup": round(
-            modeled_speedup(seq_stats.shard_costs, process_workers), 3
-        ),
         "topk_identical": proc_hits == seq_hits and first_hits == seq_hits[0],
         "grid_size": grid_size,
         "grid": grid,
@@ -265,8 +254,9 @@ def run_scale_bench(
     """Run the full EXP-SCALE protocol; returns the report dict.
 
     ``pool_limit`` caps the retrieved pool per query — the setting that
-    makes per-query cost sub-linear in world size (posting scans grow
-    with the population, but screening and scoring work only the pool).
+    makes per-query wall time sub-linear in world size (posting scans
+    grow with the population, but screening and scoring work only the
+    pool).
     ``verify_max`` bounds the sizes at which the brute-force reference
     runs (it is O(world) per query by design); the verification query
     runs uncapped, since the full scan considers every match.
@@ -320,21 +310,12 @@ def run_scale_bench(
                 keywords, submitters, k=k, pool_limit=pool_limit
             )
             wall = time.perf_counter() - t0
-            speedups = {
-                str(n): round(modeled_speedup(stats.shard_costs, n), 3)
-                for n in _WORKER_SWEEP
-            }
             per_query.append(
                 {
                     "keywords": sorted(keywords),
                     "pool": stats.pool_size,
                     "screened_out": stats.screened_out,
                     "scored": stats.scored,
-                    "cost_units": round(stats.sequential_cost, 1),
-                    "makespan_units": round(
-                        lpt_makespan(stats.shard_costs, workers), 1
-                    ),
-                    "modeled_speedup": speedups,
                     "wall_seconds": round(wall, 4),
                     "top": [h.candidate_id for h in hits],
                 }
@@ -345,10 +326,6 @@ def run_scale_bench(
                 )
                 reference = plane.brute_force_topk(keywords, submitters, k=k)
                 verified = uncapped == reference
-        mean_cost = sum(q["cost_units"] for q in per_query) / len(per_query)
-        mean_speedup = sum(
-            q["modeled_speedup"][str(workers)] for q in per_query
-        ) / len(per_query)
         report["sizes"].append(
             {
                 "authors": size,
@@ -358,8 +335,6 @@ def run_scale_bench(
                     for key, value in plane.index.stats().items()
                     if key != "per_shard"
                 },
-                "mean_query_cost_units": round(mean_cost, 1),
-                "mean_modeled_speedup": round(mean_speedup, 3),
                 "mean_wall_seconds": round(
                     sum(q["wall_seconds"] for q in per_query) / len(per_query), 4
                 ),
@@ -383,14 +358,10 @@ def run_scale_bench(
     if len(sizes_run) >= 2:
         first, last = sizes_run[0], sizes_run[-1]
         size_ratio = last["authors"] / first["authors"]
-        cost_ratio = (
-            last["mean_query_cost_units"] / first["mean_query_cost_units"]
-            if first["mean_query_cost_units"]
-            else 0.0
-        )
+        wall_ratio = last["mean_wall_seconds"] / first["mean_wall_seconds"]
         report["scaling"] = {
             "size_ratio": round(size_ratio, 1),
-            "query_cost_ratio": round(cost_ratio, 2),
-            "sublinear": cost_ratio < size_ratio,
+            "query_wall_ratio": round(wall_ratio, 2),
+            "sublinear": wall_ratio < size_ratio,
         }
     return report

@@ -10,39 +10,33 @@ population scale:
    and per-candidate co-author sets — both sharded by
    :func:`~repro.scale.sharding.shard_of`.  No scholar object stays
    resident; memory is O(postings), not O(world).
-2. **Retrieval** runs the shard-parallel ranked union
-   (:meth:`ShardedInvertedIndex.search`) over the query keywords.
+2. **Retrieval** scores every shard of the interest index under the
+   global idf and merges the per-shard score maps
+   (:func:`~repro.scale.sharding.merge_scored`).
 3. **COI screening** fans per-shard: each shard screens its own pool
    members against its own co-author sets and probes its own
    institution postings with the submitters' affiliation intervals.
 4. **Scoring** realises only the surviving pool through the streaming
-   world (LRU-cached blocks), builds features through the
-   :class:`~repro.scale.features.ShardedFeatureStore`, and ranks in two
+   world (LRU-cached blocks), builds features through one
+   :class:`~repro.scoring.features.FeatureStore`, and ranks in two
    shard-parallel phases — raw components per shard, a barrier for the
    pool maxima (scores are pool-normalised, so maxima are global state),
    then totals and a per-shard top-k heap, merged under the canonical
    ``(-score, candidate_id)`` tie-break.
 
 Per-query work is proportional to the *retrieved pool*, not the world:
-that is the sub-linear per-query cost EXP-SCALE measures.  The whole
-path is bit-identical at any worker/shard count, and
+that is the sub-linear per-query wall time EXP-SCALE measures.  The
+whole path is bit-identical at any worker/shard count, and
 :meth:`ScalePlane.brute_force_topk` recomputes it with none of the
 machinery — a full scan over every scholar — as the equality reference.
 
-The shard-parallel phases are pure-Python and CPU-bound, so the plane
-supports two execution regimes.  Threads (or inline execution) share
-the parent's live index structures; the deterministic **cost units**
-accounted per shard (postings scanned, features built, candidates
-scored) feed :func:`modeled_speedup`, the LPT makespan model of what an
-N-worker pool *should* achieve.  A
-:class:`~repro.concurrency.process.ProcessExecutor` (detected via
-``requires_pickling``) turns that model into measured wall-clock: the
-plane routes every shard fan-out through small picklable task
-descriptors (:mod:`repro.scale.worker`) executed against worker-local
-plane replicas rehydrated from the world seed, with results — and the
-workers' telemetry deltas — merged by the parent bit-identically to the
-in-process path.  EXP-SCALE reports the measured speedup next to the
-modeled one.
+Every fan-out has one dispatch path: the plane builds the
+:mod:`repro.scale.worker` task descriptors and maps them through its
+executor.  In-process executors run each descriptor against this plane;
+a :class:`~repro.concurrency.process.ProcessExecutor` (detected via
+``requires_pickling``) ships them to worker-local plane replicas
+rehydrated from the world seed, with results — and the workers'
+telemetry deltas — merged by the parent exactly as in-process.
 """
 
 from __future__ import annotations
@@ -50,19 +44,26 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.concurrency import Executor, SequentialExecutor
 from repro.obs import get_obs
-from repro.scale.features import ShardedFeatureStore
 from repro.scale.sharding import ShardedInvertedIndex, merge_scored, shard_of
+from repro.scale.worker import (
+    ComponentRowsTask,
+    RetrieveShardTask,
+    ScoreRowsTask,
+    ScreenShardTask,
+    register_parent_plane,
+    run_scale_task,
+)
 from repro.scholarly.records import (
     Metrics,
     SourceName,
     compute_h_index,
     compute_i10_index,
 )
-from repro.scoring.features import ScoringContext
+from repro.scoring.features import FeatureStore, ScoringContext
 
 #: Scale-plane component weights (relevance, impact, experience,
 #: timeliness).  Fixed — the plane ranks with one canonical formula so
@@ -71,12 +72,6 @@ _W_RELEVANCE = 0.45
 _W_IMPACT = 0.25
 _W_EXPERIENCE = 0.20
 _W_TIMELINESS = 0.10
-
-#: Cost units per posting scanned / feature built / candidate scored —
-#: coarse relative weights for the deterministic makespan model.
-_COST_POSTING = 1.0
-_COST_FEATURE = 25.0
-_COST_SCORE = 5.0
 
 
 @dataclass(frozen=True)
@@ -108,39 +103,11 @@ class ScaleHit:
 
 @dataclass
 class QueryStats:
-    """Deterministic accounting of one query's work, per shard."""
+    """Deterministic accounting of one query's work."""
 
     pool_size: int = 0
     screened_out: int = 0
     scored: int = 0
-    shard_costs: list[float] = field(default_factory=list)
-
-    @property
-    def sequential_cost(self) -> float:
-        return sum(self.shard_costs)
-
-
-def lpt_makespan(costs: list[float], workers: int) -> float:
-    """Makespan of longest-processing-time-first over ``workers`` slots.
-
-    The deterministic stand-in for "how long do these shard tasks take
-    on an N-worker pool" — LPT is the classic 4/3-approximation and,
-    crucially here, a pure function of the cost list.
-    """
-    if not costs:
-        return 0.0
-    if workers <= 1:
-        return sum(costs)
-    heap = [0.0] * min(workers, len(costs))
-    for cost in sorted(costs, reverse=True):
-        heapq.heappush(heap, heapq.heappop(heap) + cost)
-    return max(heap)
-
-
-def modeled_speedup(costs: list[float], workers: int) -> float:
-    """Sequential cost over the ``workers``-slot LPT makespan."""
-    makespan = lpt_makespan(costs, workers)
-    return sum(costs) / makespan if makespan > 0 else 1.0
 
 
 def score_rows(
@@ -151,9 +118,9 @@ def score_rows(
     """Phase B of scoring: normalise, weight, and cut one shard's rows.
 
     A pure function of ``(rows, pool maxima, k)`` — shared verbatim by
-    the inline scorer, the brute-force reference, and the
-    :class:`~repro.scale.worker.ScoreRowsTask` descriptor, so all three
-    produce the same floats by construction.
+    the :class:`~repro.scale.worker.ScoreRowsTask` descriptor and the
+    brute-force reference, so both produce the same floats by
+    construction.
     """
     max_rel, max_imp, max_exp, max_tml = maxima
     hits = []
@@ -209,25 +176,15 @@ class ScalePlane:
         self.n_shards = int(n_shards)
         self._executor = executor or SequentialExecutor()
         self._name = name
-        # A process executor cannot run the index/feature-store closures
-        # (they capture live shard state); the plane drives the process
-        # fan-out itself through task descriptors, and the inner
-        # components run sequentially inside whichever process owns them.
         self._remote = bool(getattr(self._executor, "requires_pickling", False))
-        inner = SequentialExecutor() if self._remote else self._executor
         if self._remote:
             # If the process pool ever degrades to an in-process
             # fallback, run_scale_task must still find a plane to run
             # descriptors against.
-            from repro.scale.worker import register_parent_plane
-
             register_parent_plane(self)
-        self.index = ShardedInvertedIndex(n_shards, executor=inner, name=name)
-        self.features = ShardedFeatureStore(
-            n_shards,
-            epoch_provider=lambda: self.index.epoch,
-            name=name,
-            executor=inner,
+        self.index = ShardedInvertedIndex(n_shards, name=name)
+        self.features = FeatureStore(
+            epoch_provider=lambda: self.index.epoch, name=name
         )
         # COI posting maps, partitioned like the index: shard s holds
         # only candidates with shard_of(id) == s.
@@ -243,30 +200,22 @@ class ScalePlane:
     # Ingest
     # ------------------------------------------------------------------
 
-    def ingest(self, shard_ids: Iterable[int] | None = None) -> dict:
+    def ingest(self) -> dict:
         """Stream the world once into the sharded index structures.
 
         Blocks are realised transiently (not via the world's LRU), so
         peak memory during ingest is one block plus the indexes being
-        built.  ``shard_ids`` restricts ingestion to the named shards —
-        the worker-bootstrap hook for pools whose scheduler routes
-        shard tasks to dedicated workers; with the default ``None``
-        every shard is built (required for the stock process pool,
-        which hands any task to any worker).  Returns the post-ingest
-        :meth:`stats` snapshot.
+        built.  Returns the post-ingest :meth:`stats` snapshot.
         """
         world = self.world
         obs = get_obs()
         ontology = world.ontology
-        wanted = None if shard_ids is None else set(shard_ids)
         with obs.span("scale.ingest", shards=self.n_shards):
             block_count = -(-world.config.author_count // world.block_size)
             for block_id in range(block_count):
                 block = world._realize_block(block_id)
                 for author in block.authors.values():
                     shard_id = shard_of(author.author_id, self.n_shards)
-                    if wanted is not None and shard_id not in wanted:
-                        continue
                     interests = {
                         ontology.topic(topic_id).label: weight
                         for topic_id, weight in sorted(
@@ -305,49 +254,45 @@ class ScalePlane:
     # Query path
     # ------------------------------------------------------------------
 
+    def _fan_out(self, tasks: list) -> list:
+        """Run shard task descriptors through the executor, in order.
+
+        The one dispatch path of every phase: a process pool runs each
+        descriptor against its worker's replica; any other executor runs
+        it against this plane.
+        """
+        if self._remote:
+            return self._executor.map(run_scale_task, tasks)
+        return self._executor.map(lambda task: task.run(self), tasks)
+
     def retrieve(
         self,
         keywords: dict[str, float] | list[str],
         limit: int | None = None,
     ) -> list[PoolMember]:
-        """Shard-parallel ranked retrieval over the interest index."""
-        terms, weights = _normalize_query(keywords)
-        if self._remote:
-            postings = self._retrieve_remote(terms, weights, limit)
-        else:
-            postings = self.index.search(terms, query_weights=weights, limit=limit)
-        return [PoolMember(p.doc_id, p.weight) for p in postings]
+        """Shard-parallel ranked retrieval over the interest index.
 
-    def _retrieve_remote(
-        self,
-        terms: list[str],
-        weights: dict[str, float] | None,
-        limit: int | None,
-    ) -> list:
-        """Process-backend retrieval: descriptor fan-out, same merge.
-
-        Global idf is computed **parent-side** (workers only hold their
-        own replica, but idf must reflect the global corpus — it does
-        either way since replicas are full, yet parent-side computation
-        keeps the invariant explicit and the task payload self-contained)
-        and shipped in each :class:`~repro.scale.worker.RetrieveShardTask`.
+        Global idf is computed here, once, and shipped in each
+        :class:`~repro.scale.worker.RetrieveShardTask`: every shard must
+        score under the global corpus view, never its local one.
         """
-        from repro.scale.worker import RetrieveShardTask, run_scale_task
-
+        terms, weights = _normalize_query(keywords)
         obs = get_obs()
         with obs.span("scale.retrieve", shards=self.n_shards, terms=len(terms)):
             idf = self.index.global_idf(terms)
-            descriptors = [
-                RetrieveShardTask(
-                    shard_id=shard_id,
-                    terms=tuple(terms),
-                    weights=weights,
-                    idf=idf,
-                )
-                for shard_id in range(self.n_shards)
-            ]
-            score_maps = self._executor.map(run_scale_task, descriptors)
-            return merge_scored(score_maps, limit)
+            score_maps = self._fan_out(
+                [
+                    RetrieveShardTask(
+                        shard_id=shard_id,
+                        terms=tuple(terms),
+                        weights=weights,
+                        idf=idf,
+                    )
+                    for shard_id in range(self.n_shards)
+                ]
+            )
+            postings = merge_scored(score_maps, limit)
+        return [PoolMember(p.doc_id, p.weight) for p in postings]
 
     def screen(
         self, pool: list[PoolMember], submitter_ids: list[str]
@@ -378,29 +323,17 @@ class ScalePlane:
         with obs.span(
             "scale.coi", shards=len(partitions), pool=len(pool)
         ):
-            tasks = sorted(partitions.items())
-            if self._remote:
-                from repro.scale.worker import ScreenShardTask, run_scale_task
-
-                per_shard = self._executor.map(
-                    run_scale_task,
-                    [
-                        ScreenShardTask(
-                            shard_id=shard_id,
-                            members=tuple(members),
-                            submitters=frozenset(submitters),
-                            submitter_affs=tuple(submitter_affs),
-                        )
-                        for shard_id, members in tasks
-                    ],
-                )
-            else:
-                per_shard = self._executor.map(
-                    lambda task: self.screen_shard(
-                        task[0], task[1], submitters, submitter_affs
-                    ),
-                    tasks,
-                )
+            per_shard = self._fan_out(
+                [
+                    ScreenShardTask(
+                        shard_id=shard_id,
+                        members=tuple(members),
+                        submitters=frozenset(submitters),
+                        submitter_affs=tuple(submitter_affs),
+                    )
+                    for shard_id, members in sorted(partitions.items())
+                ]
+            )
         ordered: list[ScaleVerdict | None] = [None] * len(pool)
         for shard_verdicts in per_shard:
             for position, verdict in shard_verdicts:
@@ -414,7 +347,7 @@ class ScalePlane:
         submitters: set[str],
         submitter_affs: list[tuple[str, int, int]],
     ) -> list[tuple[int, ScaleVerdict]]:
-        """Screen one shard's pool slice (the unit both regimes run).
+        """Screen one shard's pool slice (what a ``ScreenShardTask`` runs).
 
         Probes this shard's institution postings with the submitters'
         affiliation intervals, then tests each member for identity with
@@ -523,19 +456,10 @@ class ScalePlane:
     ) -> tuple[list[ScaleHit], QueryStats]:
         """The full sharded query path: retrieve → screen → score.
 
-        Returns the top-``k`` hits in canonical order plus the
-        deterministic per-shard cost accounting.
+        Returns the top-``k`` hits in canonical order plus the query's
+        pool and screening counts.
         """
         stats = QueryStats()
-        terms, __ = _normalize_query(keywords)
-        # Cost: postings scanned per shard during retrieval.
-        shard_posting_cost = [0.0] * self.n_shards
-        for term in dict.fromkeys(terms):
-            for posting in self.index.postings(term):
-                shard_posting_cost[
-                    shard_of(posting.doc_id, self.n_shards)
-                ] += _COST_POSTING
-
         pool = self.retrieve(keywords, limit=pool_limit)
         stats.pool_size = len(pool)
         verdicts = self.screen(pool, submitter_ids)
@@ -545,12 +469,8 @@ class ScalePlane:
             if not verdict.has_conflict
         ]
         stats.screened_out = len(pool) - len(survivors)
-        hits, shard_work = self._score(keywords, survivors, k)
+        hits = self._score(survivors, k)
         stats.scored = len(survivors)
-        stats.shard_costs = [
-            posting_cost + work
-            for posting_cost, work in zip(shard_posting_cost, shard_work)
-        ]
         return hits, stats
 
     def component_rows(
@@ -584,12 +504,7 @@ class ScalePlane:
             )
         return rows
 
-    def _score(
-        self,
-        keywords: dict[str, float] | list[str],
-        survivors: list[PoolMember],
-        k: int,
-    ) -> tuple[list[ScaleHit], list[float]]:
+    def _score(self, survivors: list[PoolMember], k: int) -> list[ScaleHit]:
         """Two-phase shard-parallel scoring with a global-maxima barrier.
 
         Phase A computes each shard's raw components; the barrier takes
@@ -599,39 +514,23 @@ class ScalePlane:
         per-shard heaps under the canonical tie-break.
         """
         if not survivors:
-            return [], [0.0] * self.n_shards
+            return []
         obs = get_obs()
         partitions: dict[int, list[PoolMember]] = {}
         for member in survivors:
             partitions.setdefault(
                 shard_of(member.candidate_id, self.n_shards), []
             ).append(member)
-        tasks = sorted(partitions.items())
-        shard_work = [0.0] * self.n_shards
         with obs.span(
-            "scale.score", shards=len(tasks), candidates=len(survivors)
+            "scale.score", shards=len(partitions), candidates=len(survivors)
         ):
             # Phase A: raw components per shard (features built here).
-            if self._remote:
-                from repro.scale.worker import (
-                    ComponentRowsTask,
-                    ScoreRowsTask,
-                    run_scale_task,
-                )
-
-                per_shard_rows = self._executor.map(
-                    run_scale_task,
-                    [
-                        ComponentRowsTask(
-                            shard_id=shard_id, members=tuple(members)
-                        )
-                        for shard_id, members in tasks
-                    ],
-                )
-            else:
-                per_shard_rows = self._executor.map(
-                    lambda task: self.component_rows(task[0], task[1]), tasks
-                )
+            per_shard_rows = self._fan_out(
+                [
+                    ComponentRowsTask(shard_id=shard_id, members=tuple(members))
+                    for shard_id, members in sorted(partitions.items())
+                ]
+            )
 
             # Barrier: pool maxima across every shard.
             maxima = (
@@ -642,26 +541,17 @@ class ScalePlane:
             )
 
             # Phase B: totals and per-shard top-k.
-            if self._remote:
-                per_shard_topk = self._executor.map(
-                    run_scale_task,
-                    [
-                        ScoreRowsTask(rows=tuple(rows), maxima=maxima, k=k)
-                        for rows in per_shard_rows
-                    ],
-                )
-            else:
-                per_shard_topk = self._executor.map(
-                    lambda rows: score_rows(rows, maxima, k), per_shard_rows
-                )
-        for (shard_id, members), rows in zip(tasks, per_shard_rows):
-            shard_work[shard_id] += len(rows) * (_COST_FEATURE + _COST_SCORE)
-        merged = heapq.nsmallest(
+            per_shard_topk = self._fan_out(
+                [
+                    ScoreRowsTask(rows=tuple(rows), maxima=maxima, k=k)
+                    for rows in per_shard_rows
+                ]
+            )
+        return heapq.nsmallest(
             k,
             (hit for shard_hits in per_shard_topk for hit in shard_hits),
             key=lambda h: (-h.total_score, h.candidate_id),
         )
-        return merged, shard_work
 
     # ------------------------------------------------------------------
     # Reference path
@@ -712,7 +602,10 @@ class ScalePlane:
 
         submitter_affs = []
         for submitter_id in submitter_ids:
-            author = self.world.profile(self.world.author_index(submitter_id))
+            try:
+                author = self.world.profile(self.world.author_index(submitter_id))
+            except KeyError:
+                continue
             for aff in author.affiliations:
                 end = aff.end_year if aff.end_year is not None else 10_000
                 submitter_affs.append((aff.institution, aff.start_year, end))

@@ -1,12 +1,13 @@
-"""Hash-sharded inverted index with shard-parallel ranked retrieval.
+"""Hash-sharded inverted index with per-shard ranked retrieval.
 
 One :class:`repro.storage.InvertedIndex` behind one lock is the scale
 ceiling of the retrieval path: every posting-list union runs on one
 core and every writer excludes every reader.  :class:`ShardedInvertedIndex`
 splits the *document* space across ``n_shards`` independent
 :class:`~repro.storage.inverted.InvertedIndex` instances — documents,
-not terms, so ranked retrieval parallelises per shard and a hot term's
-posting list is itself spread across shards.
+not terms, so ranked retrieval splits into per-shard units
+(:meth:`ShardedInvertedIndex.score_shard`) that the scale plane fans out,
+and a hot term's posting list is itself spread across shards.
 
 Bit-identity with the monolithic index is held by two invariants:
 
@@ -34,7 +35,6 @@ import heapq
 import threading
 from collections.abc import Iterable, Mapping
 
-from repro.concurrency import Executor, SequentialExecutor
 from repro.obs import get_obs
 from repro.storage.inverted import InvertedIndex, Posting, idf_of
 
@@ -57,9 +57,10 @@ def merge_scored(
 ) -> list[Posting]:
     """Fold per-shard score maps into the canonical ranked result list.
 
-    The one merge both retrieval paths share: flatten in shard order,
-    cut to ``limit`` with the ``(-weight, doc_id)`` heap, sort under the
-    same key.  Each document lives in exactly one shard, so no
+    The one merge :meth:`ShardedInvertedIndex.search` and
+    :meth:`~repro.scale.plane.ScalePlane.retrieve` share: flatten in
+    shard order, cut to ``limit`` with the ``(-weight, doc_id)`` heap,
+    sort under the same key.  Each document lives in exactly one shard, so no
     cross-map combination is needed — which is why the merged floats
     equal the monolithic index's bit-for-bit.
     """
@@ -98,16 +99,10 @@ class ShardedInvertedIndex:
     ['alice', 'bob']
     """
 
-    def __init__(
-        self,
-        n_shards: int = 1,
-        executor: Executor | None = None,
-        name: str = "scale",
-    ):
+    def __init__(self, n_shards: int = 1, name: str = "scale"):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self._shards = [_Shard() for __ in range(n_shards)]
-        self._executor = executor or SequentialExecutor()
         self._name = name
 
     @property
@@ -239,10 +234,10 @@ class ShardedInvertedIndex:
     def global_idf(self, terms: Iterable[str]) -> dict[str, float]:
         """Idf per query term from the *global* corpus view.
 
-        Public because the process-backend retrieval path computes idf
-        once in the parent and ships it inside each shard's task
-        descriptor — workers must score under the same idf the
-        monolithic search would use, never their shard-local view.
+        Public because the scale plane computes idf once and ships it
+        inside each shard's task descriptor — every shard must score
+        under the same idf the monolithic search would use, never its
+        shard-local view.
         """
         total_docs = len(self)
         idf: dict[str, float] = {}
@@ -263,7 +258,7 @@ class ShardedInvertedIndex:
 
         The per-shard unit of :meth:`search`, exposed so task
         descriptors (see :mod:`repro.scale.worker`) can run exactly the
-        same computation inside a pool worker's rehydrated index.
+        same computation against a plane or a pool worker's replica.
         """
         shard = self._shards[shard_id]
         with shard.lock:
@@ -276,36 +271,18 @@ class ShardedInvertedIndex:
         limit: int | None = None,
         use_idf: bool = True,
     ) -> list[Posting]:
-        """Shard-parallel ranked OR-retrieval.
+        """Ranked OR-retrieval across every shard.
 
         Same contract (and same floats, same order) as the monolithic
         :meth:`~repro.storage.inverted.InvertedIndex.search`: per-shard
         scoring under the global idf, merged by score then id.
         """
         term_list = list(terms)
-        obs = get_obs()
-        with obs.span(
-            "scale.retrieve", shards=len(self._shards), terms=len(term_list)
-        ):
-            idf = self.global_idf(term_list) if use_idf else None
-
-            def shard_scores(shard: _Shard) -> dict[str, float]:
-                with shard.lock:
-                    return shard.index.score_terms(term_list, query_weights, idf=idf)
-
-            score_maps = self._executor.map(shard_scores, self._shards)
-            return merge_scored(score_maps, limit)
-
-    def search_any(self, terms: Iterable[str]) -> list[str]:
-        term_list = list(terms)
-        hits = self._executor.map(
-            lambda shard: shard.index.search_any(term_list), self._shards
+        idf = self.global_idf(term_list) if use_idf else None
+        return merge_scored(
+            (
+                self.score_shard(shard_id, term_list, query_weights, idf)
+                for shard_id in range(len(self._shards))
+            ),
+            limit,
         )
-        return sorted(doc_id for shard_hits in hits for doc_id in shard_hits)
-
-    def search_all(self, terms: Iterable[str]) -> list[str]:
-        term_list = list(terms)
-        hits = self._executor.map(
-            lambda shard: shard.index.search_all(term_list), self._shards
-        )
-        return sorted(doc_id for shard_hits in hits for doc_id in shard_hits)

@@ -17,10 +17,11 @@ the bridge that makes the process backend cheap instead:
   :class:`ScreenShardTask`, :class:`ComponentRowsTask`,
   :class:`ScoreRowsTask`) are small frozen dataclasses holding only
   per-query data: keywords, idf maps, pool-member ids, pool maxima.
-  Each knows how to :meth:`run` itself against a hydrated plane, and
-  each delegates to the *same* plane method the in-process path calls —
-  single-sourcing the logic is what makes "bit-identical at 1/2/8
-  processes" a structural property rather than a test-enforced one.
+  Each knows how to :meth:`run` itself against a plane.  The plane
+  ships them under every executor — in-process executors run them
+  against the plane itself, a process pool against a hydrated replica —
+  so "bit-identical at 1/2/8 processes" is a structural property rather
+  than a test-enforced one.
 - :func:`run_scale_task` is the module-level (hence picklable) entry
   point the executor maps: it resolves the calling worker's hydrated
   replica and dispatches.
@@ -38,20 +39,16 @@ from repro.concurrency.process import worker_state
 
 @dataclass(frozen=True)
 class ScaleWorkerBootstrap:
-    """Everything a pool worker needs to rebuild a plane replica.
+    """Everything a pool worker needs to rebuild a full plane replica.
 
-    ``shard_ids`` optionally restricts the replica to a subset of
-    shards — the hook for pools whose scheduler routes each shard's
-    tasks to a dedicated worker.  The stock
-    :class:`~repro.concurrency.process.ProcessExecutor` hands any task
-    to any worker, so its bootstraps leave it ``None`` (full replica).
+    The :class:`~repro.concurrency.process.ProcessExecutor` hands any
+    task to any worker, so every replica holds every shard.
     """
 
     world_config: object
     n_shards: int
     block_size: int = 32
     cache_blocks: int = 64
-    shard_ids: tuple[int, ...] | None = None
 
     @classmethod
     def for_plane(cls, plane) -> "ScaleWorkerBootstrap":
@@ -77,8 +74,7 @@ class ScaleWorkerBootstrap:
         """Rebuild the plane replica (runs once, inside the worker).
 
         Streams the world through :meth:`ScalePlane.ingest`, so the
-        worker's index/COI structures equal the parent's for the shards
-        it owns.  All telemetry this emits lands in the worker's local
+        worker's index/COI structures equal the parent's.  All telemetry this emits lands in the worker's local
         registry, which ships home with the first result batch.
         """
         from repro.scale.plane import ScalePlane
@@ -90,7 +86,7 @@ class ScaleWorkerBootstrap:
             cache_blocks=self.cache_blocks,
         )
         plane = ScalePlane(world, n_shards=self.n_shards)
-        plane.ingest(shard_ids=self.shard_ids)
+        plane.ingest()
         return plane
 
 
@@ -146,8 +142,8 @@ class ComponentRowsTask:
 class ScoreRowsTask:
     """Phase B scoring: normalise one shard's rows under pool maxima.
 
-    Pure data-in/data-out — it never touches the plane replica — but it
-    rides the same descriptor channel so phase B parallelises across
+    Pure data-in/data-out — it never touches the plane — but it rides
+    the same descriptor channel so phase B parallelises across
     processes too.
     """
 
@@ -191,9 +187,9 @@ def run_scale_task(task):
     return task.run(plane)
 
 
-#: In-process fallback target for ``run_scale_task`` (set by the parent
-#: plane when it routes descriptors through a non-process executor, as
-#: happens after an unpicklable-payload or broken-pool downgrade).
+#: In-process fallback target for ``run_scale_task``: set by a parent
+#: plane built on a process pool, for when that pool downgrades to an
+#: in-process backend (unpicklable payload, broken pool).
 _PARENT_PLANE: dict = {}
 
 

@@ -1,16 +1,12 @@
-"""Parity tests: sharded index/store vs their monolithic originals."""
+"""Parity tests: the sharded index vs the monolithic original."""
 
 import random
 
 import pytest
 
 from repro.concurrency import create_executor
-from repro.scale import ShardedFeatureStore, ShardedInvertedIndex, shard_of
-from repro.scale.plane import ScalePlane
-from repro.scoring.features import FeatureStore, ScoringContext
+from repro.scale import ShardedInvertedIndex, shard_of
 from repro.storage.inverted import InvertedIndex
-from repro.world.config import WorldConfig
-from repro.world.streaming import StreamingWorld
 
 _TERMS = ["rdf", "sparql", "graphs", "nlp", "provenance", "indexing"]
 
@@ -24,8 +20,8 @@ def _corpus(doc_count: int = 120, seed: int = 17) -> dict[str, dict[str, float]]
     return docs
 
 
-def _pair(n_shards: int, executor=None):
-    mono, sharded = InvertedIndex(), ShardedInvertedIndex(n_shards, executor=executor)
+def _pair(n_shards: int):
+    mono, sharded = InvertedIndex(), ShardedInvertedIndex(n_shards)
     for doc_id, weights in _corpus().items():
         mono.add(doc_id, weights)
         sharded.add(doc_id, weights)
@@ -87,22 +83,14 @@ class TestSearchParity:
 
     @pytest.mark.parametrize("workers", [2, 8])
     def test_threaded_fanout_identical(self, workers):
+        # Concurrent searches share the per-shard locks and still see
+        # exactly the monolithic results.
+        mono, sharded = _pair(8)
+        queries = [_TERMS, ["rdf", "nlp"], ["sparql"]] * 4
         executor = create_executor(workers, "thread")
-        mono, sharded = _pair(8, executor=executor)
-        assert sharded.search(_TERMS) == mono.search(_TERMS)
-        assert sharded.search_any(_TERMS) == mono.search_any(_TERMS)
-
-    @pytest.mark.parametrize("n_shards", [1, 4, 16])
-    def test_boolean_parity(self, n_shards):
-        mono, sharded = _pair(n_shards)
-        assert sharded.search_any(["rdf", "nlp"]) == mono.search_any(["rdf", "nlp"])
-        assert sharded.search_any([]) == mono.search_any([])
-        # AND across shards intersects per shard then unions: each doc
-        # lives in exactly one shard, so the result set is identical.
-        assert sharded.search_all(["rdf", "sparql"]) == mono.search_all(
-            ["rdf", "sparql"]
-        )
-        assert sharded.search_all(["missing"]) == mono.search_all(["missing"])
+        assert executor.map(sharded.search, queries) == [
+            mono.search(terms) for terms in queries
+        ]
 
 
 class TestWriteParity:
@@ -159,76 +147,3 @@ class TestEpochs:
         assert target == index.epoch
         assert all(shard.epoch == target for shard in index._shards)
         assert index.bump_epoch() == target + 1
-
-
-class TestShardedFeatureStore:
-    @pytest.fixture(scope="class")
-    def candidates(self):
-        world = StreamingWorld(
-            WorldConfig(author_count=64, seed=3), block_size=16
-        )
-        plane = ScalePlane(world, n_shards=1)
-        return [plane.candidate_of(f"author-{i}") for i in range(40)]
-
-    @pytest.mark.parametrize("n_shards", [1, 4, 16])
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_batch_parity_in_input_order(self, candidates, n_shards, workers):
-        ctx = ScoringContext(current_year=2024, half_life_years=3.0)
-        mono = FeatureStore()
-        sharded = ShardedFeatureStore(
-            n_shards,
-            executor=create_executor(workers, "thread" if workers > 1 else "auto"),
-        )
-        assert sharded.features_for_many(candidates, ctx) == (
-            mono.features_for_many(candidates, ctx)
-        )
-
-    def test_single_lookup_routes_consistently(self, candidates):
-        ctx = ScoringContext(current_year=2024, half_life_years=3.0)
-        sharded = ShardedFeatureStore(4)
-        first = sharded.features_for(candidates[0], ctx)
-        assert sharded.features_for(candidates[0], ctx) == first
-        assert sharded.built == 1
-        assert sharded.reused == 1
-
-    def test_epoch_provider_invalidates_every_shard(self, candidates):
-        ctx = ScoringContext(current_year=2024, half_life_years=3.0)
-        epoch = [0]
-        sharded = ShardedFeatureStore(4, epoch_provider=lambda: epoch[0])
-        sharded.features_for_many(candidates, ctx)
-        built = sharded.built
-        epoch[0] += 1
-        sharded.features_for_many(candidates, ctx)
-        assert sharded.built == 2 * built  # every entry rebuilt
-
-    def test_capacity_below_shard_count_floors_at_one_slot_each(
-        self, candidates
-    ):
-        # Degenerate regime from the class docstring: capacity=1 over 16
-        # shards must not build any zero-capacity store — each shard
-        # keeps one slot, bounding the cache at max(capacity, n_shards).
-        ctx = ScoringContext(current_year=2024, half_life_years=3.0)
-        sharded = ShardedFeatureStore(16, capacity=1)
-        mono = FeatureStore()
-        assert sharded.features_for_many(candidates, ctx) == (
-            mono.features_for_many(candidates, ctx)
-        )
-        stats = sharded.stats()
-        assert stats["entries"] <= 16
-        assert all(s["entries"] <= 1 for s in stats["per_shard"])
-        repeat = sharded.features_for_many(candidates, ctx)
-        assert repeat == mono.features_for_many(candidates, ctx)
-        assert sharded.reused > 0  # the single slot per shard does cache
-
-    def test_stats_and_capacity_split(self, candidates):
-        ctx = ScoringContext(current_year=2024, half_life_years=3.0)
-        sharded = ShardedFeatureStore(4, capacity=8)
-        sharded.features_for_many(candidates, ctx)
-        stats = sharded.stats()
-        assert stats["shards"] == 4
-        assert stats["entries"] <= 8
-        assert len(stats["per_shard"]) == 4
-        with pytest.raises(ValueError):
-            ShardedFeatureStore(0)
-        with pytest.raises(ValueError):
-            ShardedFeatureStore(4, capacity=0)

@@ -519,6 +519,33 @@ class TestServeBenchCommand:
         assert "bad --burst" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def shared_scale_sweep():
+    """Run each distinct scale-bench sweep once for the whole module.
+
+    The CLI still parses its flags, calls the runner and renders every
+    output; a call whose arguments match an earlier one gets a copy of
+    that report instead of rerunning the sweep.
+    """
+    import copy
+
+    from repro.scale import bench
+
+    run = bench.run_scale_bench
+    reports = {}
+
+    def cached(**kwargs):
+        key = repr(sorted(kwargs.items()))
+        if key not in reports:
+            reports[key] = run(**kwargs)
+        return copy.deepcopy(reports[key])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench, "run_scale_bench", cached)
+        yield
+
+
+@pytest.mark.usefixtures("shared_scale_sweep")
 class TestScaleBenchCommand:
     ARGS = [
         "scale-bench",
