@@ -164,19 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--manuscript", required=True, help="manuscript JSON file")
     rec.add_argument("--top", type=int, default=10)
     rec.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-    rec.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="extraction fan-out threads (output identical at any value)",
-    )
-    rec.add_argument(
-        "--top-k",
-        type=int,
-        default=None,
-        help="rank only the exact best K candidates (lets the scoring "
-        "plane prune; default ranks everyone)",
-    )
     assign = subparsers.add_parser("assign", help="batch paper-reviewer assignment")
     assign.add_argument("--world", required=True, help="world dataset JSON")
     assign.add_argument(
@@ -230,19 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=7,
         help="seed for the planted conference scenario (--conference)",
-    )
-    assign.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel per-paper pipeline runs (output identical at any value)",
-    )
-    assign.add_argument(
-        "--top-k",
-        type=int,
-        default=None,
-        help="rank only the exact best K candidates per paper (lets the "
-        "scoring plane prune; default ranks everyone)",
     )
     slo = subparsers.add_parser(
         "slo", help="evaluate SLOs over a simulated recommendation stream"
@@ -338,12 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="shed instead of serving warm degraded responses",
     )
-    bench.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    bench.add_argument(
-        "--out", default=None, metavar="PATH", help="also write the JSON report to PATH"
-    )
     scale = subparsers.add_parser(
         "scale-bench",
         help="EXP-SCALE: streamed worlds + sharded shard-parallel query path",
@@ -376,12 +344,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "above 1 worker; 'process' adds the measured wall-clock section)",
     )
     scale.add_argument("--seed", type=int, default=42, help="world seed")
-    scale.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
-    )
-    scale.add_argument(
-        "--out", default=None, metavar="PATH", help="also write the JSON report to PATH"
-    )
+    for sub in (bench, scale):
+        sub.add_argument("--json", action="store_true", help="emit the report as JSON")
+        sub.add_argument(
+            "--out", default=None, metavar="PATH", help="also write the JSON report to PATH"
+        )
+    for sub, fan_out in (
+        (rec, "extraction fan-out threads"),
+        (assign, "parallel per-paper pipeline runs"),
+    ):
+        sub.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help=f"{fan_out} (output identical at any value)",
+        )
+        sub.add_argument(
+            "--top-k",
+            type=int,
+            default=None,
+            help="rank only the exact best K candidates (lets the scoring "
+            "plane prune; default ranks everyone)",
+        )
     for sub in (demo, rec, assign):
         sub.add_argument(
             "--backend",
@@ -963,24 +947,29 @@ def _run_scale_bench(args) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
             handle.write("\n")
+    verified = [entry["topk_matches_reference"] for entry in report["sizes"]]
+    process = report.get("process")
+    identical = process is None or (
+        process["grid_identical"] and process["topk_identical"]
+    )
+    status = 0 if identical and False not in verified else 1
     if args.json:
         print(json.dumps(report, indent=2))
-        return 0
+        return status
     print(
         f"scale-bench: shards={report['shards']} workers={report['workers']} "
         f"backend={report['backend']} k={report['k']}"
     )
     print(
         f"  {'authors':>9s} {'ingest_s':>9s} {'postings':>9s} "
-        f"{'wall_s':>8s} {'brute=':>7s}"
+        f"{'wall_s':>8s} {'ref=':>7s}"
     )
-    for entry in report["sizes"]:
-        verified = entry["topk_matches_brute_force"]
+    for entry, matched in zip(report["sizes"], verified):
         print(
             f"  {entry['authors']:>9d} {entry['ingest_seconds']:>9.2f} "
             f"{entry['index']['postings']:>9d} "
             f"{entry['mean_wall_seconds']:>8.4f} "
-            f"{'yes' if verified else ('-' if verified is None else 'NO'):>7s}"
+            f"{'yes' if matched else ('-' if matched is None else 'NO'):>7s}"
         )
     interning = report["interning"]
     print(
@@ -995,8 +984,7 @@ def _run_scale_bench(args) -> int:
             f"x{scaling['query_wall_ratio']:g} "
             f"({'sub-linear' if scaling['sublinear'] else 'NOT sub-linear'})"
         )
-    if "process" in report:
-        process = report["process"]
+    if process is not None:
         print(
             f"  process backend ({process['size']} authors, "
             f"{process['workers']} workers, {process['cpus']} cpus): "
@@ -1006,13 +994,12 @@ def _run_scale_bench(args) -> int:
             f"first query {process['first_query_wall_seconds']:g}s "
             f"(spawn+rehydrate)"
         )
-        grid_ok = process["grid_identical"] and process["topk_identical"]
         print(
             f"  process bit-identity: {len(process['grid'])}-cell "
-            f"processes x shards grid vs brute force -> "
-            f"{'identical' if grid_ok else 'MISMATCH'}"
+            f"processes x shards grid vs the paper reference -> "
+            f"{'identical' if identical else 'MISMATCH'}"
         )
-    return 0
+    return status
 
 
 def _run_profile(args) -> int:

@@ -16,7 +16,11 @@ the unsharded path at any worker or shard count.
 :class:`repro.world.StreamingWorld`: ingest streams scholars once into
 the sharded interest index and COI maps, and each query touches only
 the retrieved pool — realising candidate blocks on demand instead of
-holding O(world) scholars resident.
+holding O(world) scholars resident.  The pool is ranked with MINARET's
+own §2.3 formula through :mod:`repro.scoring` (the kernel the pipeline
+uses), and with no pool cap the top-k equals
+:func:`repro.scale.bench.paper_reference_topk` — ``CoiDetector`` and
+``NaiveRanker`` run over every matching scholar.
 """
 
 from repro.scale.plane import PoolMember, ScalePlane, ScaleVerdict
@@ -25,7 +29,6 @@ from repro.scale.worker import (
     ComponentRowsTask,
     RetrieveShardTask,
     ScaleWorkerBootstrap,
-    ScoreRowsTask,
     ScreenShardTask,
     run_scale_task,
 )
@@ -37,7 +40,6 @@ __all__ = [
     "ScalePlane",
     "ScaleVerdict",
     "ScaleWorkerBootstrap",
-    "ScoreRowsTask",
     "ScreenShardTask",
     "ShardedInvertedIndex",
     "run_scale_task",

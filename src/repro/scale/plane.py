@@ -15,20 +15,33 @@ population scale:
    (:func:`~repro.scale.sharding.merge_scored`).
 3. **COI screening** fans per-shard: each shard screens its own pool
    members against its own co-author sets and probes its own
-   institution postings with the submitters' affiliation intervals.
+   institution postings with the submitters' affiliation intervals —
+   the default :class:`~repro.core.coi.CoiDetector` rule (shared
+   publications, overlapping institution periods concretised by
+   :func:`~repro.scoring.features.concretize_interval`, same person).
 4. **Scoring** realises only the surviving pool through the streaming
    world (LRU-cached blocks), builds features through one
-   :class:`~repro.scoring.features.FeatureStore`, and ranks in two
-   shard-parallel phases — raw components per shard, a barrier for the
-   pool maxima (scores are pool-normalised, so maxima are global state),
-   then totals and a per-shard top-k heap, merged under the canonical
-   ``(-score, candidate_id)`` tie-break.
+   :class:`~repro.scoring.features.FeatureStore`, and computes MINARET's
+   six raw §2.3 components per shard with the :mod:`repro.scoring`
+   kernel.  The parent then takes the pool maxima — normalisation
+   couples every candidate to every other, so it is the one global
+   step — scores the whole pool with
+   :func:`~repro.scoring.engine.pool_scorer`, and cuts the top-k under
+   the canonical ``(-score, candidate_id)`` tie-break.
+
+A query is a list of interest labels or a ``{label: sc}`` map: each
+label is a manuscript seed keyword whose only expansion is itself,
+scored ``sc`` (1.0 for a plain list), and there is no target venue.
+Ranking runs under ``PipelineConfig(current_year=world's)`` defaults;
+tf-idf retrieval relevance only selects and caps the pool.
 
 Per-query work is proportional to the *retrieved pool*, not the world:
 that is the sub-linear per-query wall time EXP-SCALE measures.  The
-whole path is bit-identical at any worker/shard count, and
-:meth:`ScalePlane.brute_force_topk` recomputes it with none of the
-machinery — a full scan over every scholar — as the equality reference.
+whole path is bit-identical at any worker/shard count, and with no pool
+cap it equals the paper's own ranking of the same query —
+:func:`repro.scale.bench.paper_reference_topk`, which screens every
+matching scholar with :class:`~repro.core.coi.CoiDetector` and ranks
+with :class:`~repro.core.ranking.NaiveRanker`.
 
 Every fan-out has one dispatch path: the plane builds the
 :mod:`repro.scale.worker` task descriptors and maps them through its
@@ -42,17 +55,16 @@ telemetry deltas — merged by the parent exactly as in-process.
 from __future__ import annotations
 
 import heapq
-import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.concurrency import Executor, SequentialExecutor
+from repro.core.config import PipelineConfig
 from repro.obs import get_obs
+from repro.ontology.expansion import ExpandedKeyword
 from repro.scale.sharding import ShardedInvertedIndex, merge_scored, shard_of
 from repro.scale.worker import (
     ComponentRowsTask,
     RetrieveShardTask,
-    ScoreRowsTask,
     ScreenShardTask,
     register_parent_plane,
     run_scale_task,
@@ -63,15 +75,19 @@ from repro.scholarly.records import (
     compute_h_index,
     compute_i10_index,
 )
-from repro.scoring.features import FeatureStore, ScoringContext
-
-#: Scale-plane component weights (relevance, impact, experience,
-#: timeliness).  Fixed — the plane ranks with one canonical formula so
-#: every execution strategy is comparable float-for-float.
-_W_RELEVANCE = 0.45
-_W_IMPACT = 0.25
-_W_EXPERIENCE = 0.20
-_W_TIMELINESS = 0.10
+from repro.scoring.engine import (
+    outlet_familiarity,
+    pool_scorer,
+    recency,
+    scientific_impact,
+    topic_coverage,
+)
+from repro.scoring.features import (
+    FeatureStore,
+    ScoringContext,
+    concretize_interval,
+)
+from repro.scoring.query import ManuscriptQuery
 
 
 @dataclass(frozen=True)
@@ -93,7 +109,8 @@ class ScaleVerdict:
 
 @dataclass(frozen=True)
 class ScaleHit:
-    """One ranked recommendation."""
+    """One ranked recommendation: its §2.3 total and the six normalised
+    components it folds (:data:`~repro.scoring.engine.COMPONENTS`)."""
 
     candidate_id: str
     name: str
@@ -108,45 +125,6 @@ class QueryStats:
     pool_size: int = 0
     screened_out: int = 0
     scored: int = 0
-
-
-def score_rows(
-    rows: Iterable[tuple],
-    maxima: tuple[float, float, float, float],
-    k: int,
-) -> list["ScaleHit"]:
-    """Phase B of scoring: normalise, weight, and cut one shard's rows.
-
-    A pure function of ``(rows, pool maxima, k)`` — shared verbatim by
-    the :class:`~repro.scale.worker.ScoreRowsTask` descriptor and the
-    brute-force reference, so both produce the same floats by
-    construction.
-    """
-    max_rel, max_imp, max_exp, max_tml = maxima
-    hits = []
-    for candidate_id, name, rel, imp, exp, tml in rows:
-        components = {
-            "relevance": rel / max_rel if max_rel > 0 else 0.0,
-            "impact": imp / max_imp if max_imp > 0 else 0.0,
-            "experience": exp / max_exp if max_exp > 0 else 0.0,
-            "timeliness": tml / max_tml if max_tml > 0 else 0.0,
-        }
-        total = round(
-            _W_RELEVANCE * components["relevance"]
-            + _W_IMPACT * components["impact"]
-            + _W_EXPERIENCE * components["experience"]
-            + _W_TIMELINESS * components["timeliness"],
-            6,
-        )
-        hits.append(
-            ScaleHit(
-                candidate_id=candidate_id,
-                name=name,
-                total_score=total,
-                components=components,
-            )
-        )
-    return heapq.nsmallest(k, hits, key=lambda h: (-h.total_score, h.candidate_id))
 
 
 class ScalePlane:
@@ -186,6 +164,9 @@ class ScalePlane:
         self.features = FeatureStore(
             epoch_provider=lambda: self.index.epoch, name=name
         )
+        # MINARET's defaults, dated to the world's "today".
+        self._config = PipelineConfig(current_year=world.config.current_year)
+        self._context = ScoringContext.from_config(self._config)
         # COI posting maps, partitioned like the index: shard s holds
         # only candidates with shard_of(id) == s.
         self._institutions: list[dict[str, list[tuple[int, int, str]]]] = [
@@ -194,7 +175,6 @@ class ScalePlane:
         self._coauthors: list[dict[str, frozenset[str]]] = [
             {} for __ in range(n_shards)
         ]
-        self._ingested = False
 
     # ------------------------------------------------------------------
     # Ingest
@@ -210,6 +190,7 @@ class ScalePlane:
         world = self.world
         obs = get_obs()
         ontology = world.ontology
+        current_year = self._config.current_year
         with obs.span("scale.ingest", shards=self.n_shards):
             block_count = -(-world.config.author_count // world.block_size)
             for block_id in range(block_count):
@@ -225,14 +206,15 @@ class ScalePlane:
                     self.index.add(author.author_id, interests)
                     postings = self._institutions[shard_id]
                     for aff in author.affiliations:
-                        end = aff.end_year if aff.end_year is not None else 10_000
+                        start, end = concretize_interval(
+                            aff.start_year, aff.end_year, current_year
+                        )
                         postings.setdefault(aff.institution, []).append(
-                            (aff.start_year, end, author.author_id)
+                            (start, end, author.author_id)
                         )
                     self._coauthors[shard_id][author.author_id] = frozenset(
                         block.coauthors[author.author_id]
                     )
-        self._ingested = True
         return self.stats()
 
     def refresh(self) -> int:
@@ -312,8 +294,12 @@ class ScalePlane:
             except KeyError:
                 continue
             for aff in author.affiliations:
-                end = aff.end_year if aff.end_year is not None else 10_000
-                submitter_affs.append((aff.institution, aff.start_year, end))
+                submitter_affs.append(
+                    (aff.institution,)
+                    + concretize_interval(
+                        aff.start_year, aff.end_year, self._config.current_year
+                    )
+                )
 
         partitions: dict[int, list[tuple[int, PoolMember]]] = {}
         for position, member in enumerate(pool):
@@ -387,66 +373,6 @@ class ScalePlane:
             )
         return verdicts
 
-    def candidate_of(self, candidate_id: str):
-        """A pipeline :class:`~repro.core.models.Candidate` realised
-        from the streamed world (the owning block comes via the LRU)."""
-        from repro.core.models import Candidate
-        from repro.scholarly.records import MergedProfile
-
-        scholar = self.world.scholar(candidate_id)
-        author = scholar.author
-        citations = [p.citation_count for p in scholar.publications]
-        pubs = [
-            {
-                "id": p.pub_id,
-                "title": p.title,
-                "year": p.year,
-                "keywords": list(p.keywords),
-                "venue": self.world.venues[p.venue_id].name,
-            }
-            for p in scholar.publications
-        ]
-        venue_counts: dict[str, int] = {}
-        on_time = 0
-        for review in scholar.reviews:
-            venue = self.world.venues[review.venue_id].name
-            venue_counts[venue] = venue_counts.get(venue, 0) + 1
-            on_time += 1 if review.on_time else 0
-        ontology = self.world.ontology
-        interests = tuple(
-            ontology.topic(t).label for t in sorted(author.topic_expertise)
-        )
-        profile = MergedProfile(
-            canonical_name=author.name,
-            source_ids=((SourceName.DBLP, candidate_id),),
-            affiliations=author.affiliations,
-            interests=interests,
-            metrics=Metrics(
-                citations=sum(citations),
-                h_index=compute_h_index(citations),
-                i10_index=compute_i10_index(citations),
-            ),
-            publication_ids=tuple(p.pub_id for p in scholar.publications),
-            review_ids=tuple(r.review_id for r in scholar.reviews),
-        )
-        return Candidate(
-            candidate_id=candidate_id,
-            name=author.name,
-            profile=profile,
-            scholar_publications=pubs,
-            dblp_publications=pubs,
-            review_count=len(scholar.reviews),
-            on_time_rate=(
-                round(on_time / len(scholar.reviews), 4)
-                if scholar.reviews
-                else None
-            ),
-            venues_reviewed=[
-                {"venue": venue, "count": count}
-                for venue, count in sorted(venue_counts.items())
-            ],
-        )
-
     def topk(
         self,
         keywords: dict[str, float] | list[str],
@@ -469,204 +395,161 @@ class ScalePlane:
             if not verdict.has_conflict
         ]
         stats.screened_out = len(pool) - len(survivors)
-        hits = self._score(survivors, k)
+        query = ManuscriptQuery.compile(tuple(keywords), query_expansions(keywords))
+        hits = self._score(survivors, query, k)
         stats.scored = len(survivors)
         return hits, stats
 
     def component_rows(
-        self, shard_id: int, members: list[PoolMember]
+        self, candidate_ids: list[str], query: ManuscriptQuery
     ) -> list[tuple]:
-        """Phase A of scoring for one shard: realise, featurise, row-ify.
+        """The per-shard half of scoring: raw components of survivors.
 
-        Returns ``(candidate_id, name, relevance, log_citations,
-        review_experience, timeliness)`` per member — plain tuples, so
-        :class:`~repro.scale.worker.ComponentRowsTask` can ship the
-        result back across a process boundary.  The scoring context is
-        derived from the world config, which both the parent plane and
-        a rehydrated worker replica share by construction.
+        Realises each candidate, reads its features through the plane's
+        store and returns ``(candidate_id, name, raw)`` per candidate,
+        where ``raw`` holds the six raw §2.3 components in
+        :data:`~repro.scoring.engine.COMPONENTS` order.  Plain tuples,
+        so :class:`~repro.scale.worker.ComponentRowsTask` can ship them
+        back across a process boundary; the scoring context comes from
+        the world config, which a rehydrated replica shares.
         """
-        ctx = ScoringContext(
-            current_year=self.world.config.current_year, half_life_years=3.0
-        )
-        candidates = [self.candidate_of(m.candidate_id) for m in members]
-        feats = self.features.features_for_many(candidates, ctx)
-        rows = []
-        for member, candidate, features in zip(members, candidates, feats):
-            rows.append(
+        candidates = [candidate_of(self.world, c) for c in candidate_ids]
+        feats = self.features.features_for_many(candidates, self._context)
+        return [
+            (
+                candidate.candidate_id,
+                candidate.name,
                 (
-                    member.candidate_id,
-                    candidate.name,
-                    member.relevance,
-                    features.log_citations,
+                    topic_coverage(features, candidate.matched_keywords, query),
+                    scientific_impact(features, self._config),
+                    recency(features, query),
                     features.review_experience,
+                    outlet_familiarity(features, query),
                     features.timeliness,
-                )
+                ),
             )
-        return rows
+            for candidate, features in zip(candidates, feats)
+        ]
 
-    def _score(self, survivors: list[PoolMember], k: int) -> list[ScaleHit]:
-        """Two-phase shard-parallel scoring with a global-maxima barrier.
+    def _score(
+        self, survivors: list[PoolMember], query: ManuscriptQuery, k: int
+    ) -> list[ScaleHit]:
+        """Shard-parallel raw components, then one pool-wide score.
 
-        Phase A computes each shard's raw components; the barrier takes
-        the pool maxima (normalisation couples every candidate to every
-        other, so this is the one genuinely global step); phase B
-        computes totals and a per-shard top-k heap; the merge folds the
-        per-shard heaps under the canonical tie-break.
+        Each shard computes its survivors' raw components; the parent scores
+        the whole pool with :func:`~repro.scoring.engine.pool_scorer`
+        (normalisation by the pool maxima is the one genuinely global
+        step) and keeps the top-k under the canonical tie-break.
         """
         if not survivors:
             return []
         obs = get_obs()
-        partitions: dict[int, list[PoolMember]] = {}
+        partitions: dict[int, list[str]] = {}
         for member in survivors:
             partitions.setdefault(
                 shard_of(member.candidate_id, self.n_shards), []
-            ).append(member)
+            ).append(member.candidate_id)
         with obs.span(
             "scale.score", shards=len(partitions), candidates=len(survivors)
         ):
-            # Phase A: raw components per shard (features built here).
             per_shard_rows = self._fan_out(
                 [
-                    ComponentRowsTask(shard_id=shard_id, members=tuple(members))
-                    for shard_id, members in sorted(partitions.items())
+                    ComponentRowsTask(candidate_ids=tuple(ids), query=query)
+                    for __, ids in sorted(partitions.items())
                 ]
             )
-
-            # Barrier: pool maxima across every shard.
-            maxima = (
-                max(r[2] for rows in per_shard_rows for r in rows),
-                max(r[3] for rows in per_shard_rows for r in rows),
-                max(r[4] for rows in per_shard_rows for r in rows),
-                max(r[5] for rows in per_shard_rows for r in rows),
-            )
-
-            # Phase B: totals and per-shard top-k.
-            per_shard_topk = self._fan_out(
-                [
-                    ScoreRowsTask(rows=tuple(rows), maxima=maxima, k=k)
-                    for rows in per_shard_rows
-                ]
-            )
+            rows = [row for shard_rows in per_shard_rows for row in shard_rows]
+            maxima = [max(column) for column in zip(*(raw for __, __, raw in rows))]
+            score = pool_scorer(self._config, maxima)
+            hits = []
+            for candidate_id, name, raw in rows:
+                total, components = score(raw)
+                hits.append(ScaleHit(candidate_id, name, total, components))
         return heapq.nsmallest(
-            k,
-            (hit for shard_hits in per_shard_topk for hit in shard_hits),
-            key=lambda h: (-h.total_score, h.candidate_id),
+            k, hits, key=lambda h: (-h.total_score, h.candidate_id)
         )
 
-    # ------------------------------------------------------------------
-    # Reference path
-    # ------------------------------------------------------------------
 
-    def brute_force_topk(
-        self,
-        keywords: dict[str, float] | list[str],
-        submitter_ids: list[str],
-        k: int = 10,
-    ) -> list[ScaleHit]:
-        """The machinery-free reference: a full scan over every scholar.
+def query_expansions(
+    keywords: dict[str, float] | list[str],
+) -> list[ExpandedKeyword]:
+    """A scale query as MINARET expansions: each label is its own seed.
 
-        No sharding, no fan-out, no index *structure* — just the same
-        formulas over the whole population.  Only usable on small worlds
-        (it materialises everyone); the equality
-        ``topk(...) == brute_force_topk(...)`` whenever ``pool_limit``
-        is off is the plane's correctness anchor.
-        """
-        terms, weights = _normalize_query(keywords)
-        term_list = list(dict.fromkeys(terms))
-        total_docs = self.world.config.author_count
-        ontology = self.world.ontology
-        submitters = set(submitter_ids)
+    A dict weight is the label's expansion score ``sc``; a plain list
+    scores every label 1.0.
+    """
+    terms, weights = _normalize_query(keywords)
+    return [
+        ExpandedKeyword(
+            keyword=label,
+            topic_id="",
+            score=float((weights or {}).get(label, 1.0)),
+            seed=label,
+            depth=0,
+        )
+        for label in terms
+    ]
 
-        df = {term: 0 for term in term_list}
-        all_interests: list[tuple[str, dict[str, float]]] = []
-        for index in range(total_docs):
-            author_id = f"author-{index}"
-            interests = {
-                ontology.topic(t).label: w
-                for t, w in sorted(
-                    self.world.profile(index).topic_expertise.items()
-                )
-            }
-            all_interests.append((author_id, interests))
-            for term in term_list:
-                if term in interests:
-                    df[term] += 1
 
-        from repro.storage.inverted import idf_of
+def candidate_of(world, candidate_id: str):
+    """A pipeline :class:`~repro.core.models.Candidate` realised from a
+    streamed world (the owning block comes via the world's LRU)."""
+    from repro.core.models import Candidate
+    from repro.scholarly.records import MergedProfile
 
-        idf = {
-            term: idf_of(total_docs, count)
-            for term, count in df.items()
-            if count
+    scholar = world.scholar(candidate_id)
+    author = scholar.author
+    citations = [p.citation_count for p in scholar.publications]
+    pubs = [
+        {
+            "id": p.pub_id,
+            "title": p.title,
+            "year": p.year,
+            "keywords": list(p.keywords),
+            "venue": world.venues[p.venue_id].name,
         }
-
-        submitter_affs = []
-        for submitter_id in submitter_ids:
-            try:
-                author = self.world.profile(self.world.author_index(submitter_id))
-            except KeyError:
-                continue
-            for aff in author.affiliations:
-                end = aff.end_year if aff.end_year is not None else 10_000
-                submitter_affs.append((aff.institution, aff.start_year, end))
-
-        rows = []
-        for author_id, interests in all_interests:
-            relevance = 0.0
-            for term in terms:
-                weight = interests.get(term)
-                if weight is None or term not in idf:
-                    continue
-                relevance += (
-                    float((weights or {}).get(term, 1.0)) * weight * idf[term]
-                )
-            if relevance == 0.0:
-                continue
-            if author_id in submitters:
-                continue
-            scholar = self.world.scholar(author_id)
-            if scholar.coauthor_ids & submitters:
-                continue
-            conflicted = False
-            for aff in scholar.author.affiliations:
-                end = aff.end_year if aff.end_year is not None else 10_000
-                for __, s_start, s_end in (
-                    entry
-                    for entry in submitter_affs
-                    if entry[0] == aff.institution
-                ):
-                    if aff.start_year <= s_end and s_start <= end:
-                        conflicted = True
-                        break
-                if conflicted:
-                    break
-            if conflicted:
-                continue
-            citations = [p.citation_count for p in scholar.publications]
-            on_time = sum(1 for r in scholar.reviews if r.on_time)
-            rows.append(
-                (
-                    author_id,
-                    scholar.author.name,
-                    relevance,
-                    math.log1p(sum(citations)),
-                    float(len(scholar.reviews)),
-                    (
-                        round(on_time / len(scholar.reviews), 4)
-                        if scholar.reviews
-                        else 0.0
-                    ),
-                )
-            )
-        if not rows:
-            return []
-        maxima = (
-            max(r[2] for r in rows),
-            max(r[3] for r in rows),
-            max(r[4] for r in rows),
-            max(r[5] for r in rows),
-        )
-        return score_rows(rows, maxima, k)
+        for p in scholar.publications
+    ]
+    venue_counts: dict[str, int] = {}
+    on_time = 0
+    for review in scholar.reviews:
+        venue = world.venues[review.venue_id].name
+        venue_counts[venue] = venue_counts.get(venue, 0) + 1
+        on_time += 1 if review.on_time else 0
+    ontology = world.ontology
+    interests = tuple(
+        ontology.topic(t).label for t in sorted(author.topic_expertise)
+    )
+    profile = MergedProfile(
+        canonical_name=author.name,
+        source_ids=((SourceName.DBLP, candidate_id),),
+        affiliations=author.affiliations,
+        interests=interests,
+        metrics=Metrics(
+            citations=sum(citations),
+            h_index=compute_h_index(citations),
+            i10_index=compute_i10_index(citations),
+        ),
+        publication_ids=tuple(p.pub_id for p in scholar.publications),
+        review_ids=tuple(r.review_id for r in scholar.reviews),
+    )
+    return Candidate(
+        candidate_id=candidate_id,
+        name=author.name,
+        profile=profile,
+        scholar_publications=pubs,
+        dblp_publications=pubs,
+        review_count=len(scholar.reviews),
+        on_time_rate=(
+            round(on_time / len(scholar.reviews), 4)
+            if scholar.reviews
+            else None
+        ),
+        venues_reviewed=[
+            {"venue": venue, "count": count}
+            for venue, count in sorted(venue_counts.items())
+        ],
+    )
 
 
 def _normalize_query(

@@ -22,10 +22,11 @@ Bit-identity with the monolithic index is held by two invariants:
 - **Canonical merge.**  Merged results are ordered by the same
   ``(-score, doc_id)`` heap tie-break the monolithic ``search`` uses.
 
-Each shard carries its own lock and epoch stamp: refreshes touch only
-the shards whose documents changed, and ``bump_epoch()`` advances every
-stamp so plane-level ``refresh_services()`` semantics (all cached
-derived state invalidated at once) are preserved.
+Documents enter once, through :meth:`ShardedInvertedIndex.add` at
+ingest.  Each shard carries its own lock and epoch stamp: an add
+advances only its owning shard's stamp, and ``bump_epoch()`` advances
+every stamp at once, so a plane-level refresh invalidates all cached
+derived state (the scale plane's feature store) in one step.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class ShardedInvertedIndex:
         return shard_of(doc_id, len(self._shards))
 
     # ------------------------------------------------------------------
-    # Writes (routed to the owning shard; only that shard's lock is held)
+    # Writes: ingest only (routed to the owning shard, under its lock)
     # ------------------------------------------------------------------
 
     def add(self, doc_id: str, term_weights: Mapping[str, float]) -> None:
@@ -141,62 +142,12 @@ class ShardedInvertedIndex:
             shard.index.add(doc_id, term_weights)
             shard.epoch += 1
 
-    def add_term(self, term: str, doc_weights: Mapping[str, float]) -> None:
-        for shard_id, weights in self._split(doc_weights).items():
-            shard = self._shards[shard_id]
-            with shard.lock:
-                shard.index.add_term(term, weights)
-                shard.epoch += 1
-
-    def replace_term(self, term: str, doc_weights: Mapping[str, float]) -> None:
-        """Atomically-per-shard replace ``term``'s posting list.
-
-        Every shard replaces its slice of the list (shards with no new
-        postings drop the term), so no stale posting survives anywhere.
-        """
-        split = self._split(doc_weights)
-        for shard_id, shard in enumerate(self._shards):
-            with shard.lock:
-                shard.index.replace_term(term, split.get(shard_id, {}))
-                shard.epoch += 1
-
-    def remove(self, doc_id: str) -> None:
-        shard = self._shards[self.shard_for(doc_id)]
-        with shard.lock:
-            shard.index.remove(doc_id)
-            shard.epoch += 1
-
-    def _split(
-        self, doc_weights: Mapping[str, float]
-    ) -> dict[int, dict[str, float]]:
-        split: dict[int, dict[str, float]] = {}
-        for doc_id, weight in doc_weights.items():
-            split.setdefault(self.shard_for(doc_id), {})[doc_id] = weight
-        return split
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return sum(len(shard.index) for shard in self._shards)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._shards[self.shard_for(doc_id)].index
-
     def document_frequency(self, term: str) -> int:
         return sum(shard.index.document_frequency(term) for shard in self._shards)
-
-    def terms_of(self, doc_id: str) -> set[str]:
-        return self._shards[self.shard_for(doc_id)].index.terms_of(doc_id)
-
-    def postings(self, term: str) -> list[Posting]:
-        """The merged posting list, in the monolithic sort order."""
-        merged: list[Posting] = []
-        for shard in self._shards:
-            merged.extend(shard.index.postings(term))
-        merged.sort(key=lambda p: (-p.weight, p.doc_id))
-        return merged
 
     def stats(self) -> dict:
         """Aggregate and per-shard size counts (and the obs gauges)."""
@@ -239,7 +190,7 @@ class ShardedInvertedIndex:
         under the same idf the monolithic search would use, never its
         shard-local view.
         """
-        total_docs = len(self)
+        total_docs = sum(len(shard.index) for shard in self._shards)
         idf: dict[str, float] = {}
         for term in dict.fromkeys(terms):
             df = self.document_frequency(term)

@@ -14,10 +14,11 @@ the bridge that makes the process backend cheap instead:
   the-seed property guarantees the replica is bit-identical to the
   parent's plane, so shard tasks can run against it interchangeably.
 - The task descriptors (:class:`RetrieveShardTask`,
-  :class:`ScreenShardTask`, :class:`ComponentRowsTask`,
-  :class:`ScoreRowsTask`) are small frozen dataclasses holding only
-  per-query data: keywords, idf maps, pool-member ids, pool maxima.
-  Each knows how to :meth:`run` itself against a plane.  The plane
+  :class:`ScreenShardTask`, :class:`ComponentRowsTask`) are small frozen
+  dataclasses holding only per-query data: keywords, idf maps,
+  pool-member ids, the compiled query.  Each knows how to :meth:`run`
+  itself against a plane.  Pool-wide scoring needs every shard's rows,
+  so it runs in the parent, not in a descriptor.  The plane
   ships them under every executor — in-process executors run them
   against the plane itself, a process pool against a hydrated replica —
   so "bit-identical at 1/2/8 processes" is a structural property rather
@@ -74,8 +75,9 @@ class ScaleWorkerBootstrap:
         """Rebuild the plane replica (runs once, inside the worker).
 
         Streams the world through :meth:`ScalePlane.ingest`, so the
-        worker's index/COI structures equal the parent's.  All telemetry this emits lands in the worker's local
-        registry, which ships home with the first result batch.
+        worker's index/COI structures equal the parent's.  All telemetry
+        this emits lands in the worker's local registry, which ships
+        home with the first result batch.
         """
         from repro.scale.plane import ScalePlane
         from repro.world.streaming import StreamingWorld
@@ -129,42 +131,22 @@ class ScreenShardTask:
 
 @dataclass(frozen=True)
 class ComponentRowsTask:
-    """Phase A scoring: raw component rows for one shard's survivors."""
+    """Raw §2.3 components for one shard's survivors.
 
-    shard_id: int
-    members: tuple[object, ...]
-
-    def run(self, plane) -> list[tuple]:
-        return plane.component_rows(self.shard_id, list(self.members))
-
-
-@dataclass(frozen=True)
-class ScoreRowsTask:
-    """Phase B scoring: normalise one shard's rows under pool maxima.
-
-    Pure data-in/data-out — it never touches the plane — but it rides
-    the same descriptor channel so phase B parallelises across
-    processes too.
+    ``query`` is the compiled :class:`~repro.scoring.query.ManuscriptQuery`
+    the plane built once for the whole query.
     """
 
-    rows: tuple[tuple, ...]
-    maxima: tuple[float, float, float, float]
-    k: int
+    candidate_ids: tuple[str, ...]
+    query: object
 
-    def run(self, plane) -> list:
-        from repro.scale.plane import score_rows
-
-        return score_rows(self.rows, self.maxima, self.k)
+    def run(self, plane) -> list[tuple]:
+        return plane.component_rows(list(self.candidate_ids), self.query)
 
 
 #: Every descriptor type the scale plane ships to workers (the pickle
 #: round-trip test enumerates these).
-TASK_TYPES = (
-    RetrieveShardTask,
-    ScreenShardTask,
-    ComponentRowsTask,
-    ScoreRowsTask,
-)
+TASK_TYPES = (RetrieveShardTask, ScreenShardTask, ComponentRowsTask)
 
 
 def run_scale_task(task):

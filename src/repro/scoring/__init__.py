@@ -28,7 +28,9 @@ while staying **bit-identical** to the naive reference path:
     top-k selection with per-component upper bounds, so the expensive
     per-publication recency loop is skipped for candidates that cannot
     enter the current top-k.  Full-ranking behavior is unchanged when
-    ``top_k`` is ``None``.
+    ``top_k`` is ``None``.  Its :func:`~repro.scoring.engine.pool_scorer`
+    (normalise by the pool maxima, aggregate, round) is the one
+    definition of the ranking formula; the scale plane scores with it too.
 
 Everything is instrumented through :mod:`repro.obs`: features
 built/reused counters, a prune-rate gauge and scoring spans, all

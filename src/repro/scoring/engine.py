@@ -4,9 +4,10 @@ This is the compute plane's counterpart of
 :meth:`repro.core.ranking.NaiveRanker.rank`.  The two paths are
 **bit-identical** by construction: every component score is computed
 with the same expressions in the same iteration order over precompiled
-inputs, normalization divides by the same pool maxima, and totals fold
-through the shared :mod:`repro.scoring.aggregate` helpers before the
-same ``round(total, 6)``.
+inputs, and :func:`pool_scorer` — the one definition of the
+formula, which the scale plane calls too — normalises by the same pool
+maxima and folds totals through the shared :mod:`repro.scoring.aggregate`
+helpers before the same ``round(total, 6)``.
 
 What changes is *when* work happens:
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable, Sequence
 
 from repro.core.config import AggregationMethod, ImpactMetric, PipelineConfig
 from repro.core.models import (
@@ -81,6 +83,13 @@ def topic_coverage(
     return total / len(query.seed_expansions)
 
 
+def scientific_impact(features: CandidateFeatures, config: PipelineConfig) -> float:
+    """Raw impact — log-compressed citations or the h-index, per config."""
+    if config.impact_metric is ImpactMetric.CITATIONS:
+        return features.log_citations
+    return features.h_index
+
+
 def recency(features: CandidateFeatures, query: ManuscriptQuery) -> float:
     """Raw recency — ``NaiveRanker._recency`` on precompiled pubs."""
     weights = query.recency_weights
@@ -121,6 +130,63 @@ def outlet_familiarity(
     )
 
 
+#: The ranking components of §2.3 in the order every path folds them
+#: (the naive ranker's raw dict order, so weighted sums agree bit-for-bit).
+COMPONENTS = (
+    "topic_coverage",
+    "scientific_impact",
+    "recency",
+    "review_experience",
+    "outlet_familiarity",
+    "timeliness",
+)
+
+
+def normalize_components(
+    raw: Sequence[float], maxima: Sequence[float]
+) -> dict[str, float]:
+    """One candidate's raw components, each divided by its pool maximum."""
+    tc, imp, rec, rev, out, tml = raw
+    max_tc, max_imp, max_rec, max_rev, max_out, max_tml = maxima
+    # Insertion order is COMPONENTS: weighted sums fold in that order.
+    return {
+        "topic_coverage": tc / max_tc if max_tc > 0 else 0.0,
+        "scientific_impact": imp / max_imp if max_imp > 0 else 0.0,
+        "recency": rec / max_rec if max_rec > 0 else 0.0,
+        "review_experience": rev / max_rev if max_rev > 0 else 0.0,
+        "outlet_familiarity": out / max_out if max_out > 0 else 0.0,
+        "timeliness": tml / max_tml if max_tml > 0 else 0.0,
+    }
+
+
+def pool_scorer(
+    config: PipelineConfig, maxima: Sequence[float]
+) -> Callable[[Sequence[float]], tuple[float, dict[str, float]]]:
+    """The §2.3 score function of one candidate pool.
+
+    The returned function takes one candidate's raw :data:`COMPONENTS`,
+    normalises each by the pool's ``maxima``, fuses them under
+    ``config.aggregation`` and ``config.weights``, and returns the total
+    rounded to 6 places with the normalised components.
+
+    This is the one definition of the ranking formula outside the naive
+    transcription it is tested against: :func:`rank_with_plane` and the
+    scale plane (:mod:`repro.scale.plane`) both score through it.
+    """
+    weights = config.weights.normalized()
+    owa = config.aggregation is AggregationMethod.OWA
+
+    def score(raw: Sequence[float]) -> tuple[float, dict[str, float]]:
+        components = normalize_components(raw, maxima)
+        if owa:
+            total = owa_aggregate(list(components.values()), config.owa_weights)
+        else:
+            total = weighted_total(components, weights)
+        return round(total, 6), components
+
+    return score
+
+
 def rank_with_plane(
     manuscript: Manuscript,
     candidates: list[Candidate],
@@ -143,17 +209,16 @@ def rank_with_plane(
     with obs.span("scoring.rank", candidates=n, top_k="all" if k is None else k):
         if ctx is None:
             ctx = ScoringContext.from_config(config)
-        query = ManuscriptQuery.compile(manuscript, expanded)
+        query = ManuscriptQuery.compile(
+            manuscript.keywords, expanded, manuscript.target_venue
+        )
         feats = store.features_for_many(candidates, ctx)
 
-        use_citations = config.impact_metric is ImpactMetric.CITATIONS
         raw_tc = [
             topic_coverage(f, c.matched_keywords, query)
             for f, c in zip(feats, candidates)
         ]
-        raw_imp = [
-            (f.log_citations if use_citations else f.h_index) for f in feats
-        ]
+        raw_imp = [scientific_impact(f, config) for f in feats]
         raw_rev = [f.review_experience for f in feats]
         raw_out = [outlet_familiarity(f, query) for f in feats]
         raw_tml = [f.timeliness for f in feats]
@@ -210,38 +275,24 @@ def rank_with_plane(
                 exact_rec[i] = recency(feats[i], query)
             max_rec = max(exact_rec)
 
-        weights = config.weights.normalized()
-        owa = config.aggregation is AggregationMethod.OWA
+        maxima = (max_tc, max_imp, max_rec, max_rev, max_out, max_tml)
+        score = pool_scorer(config, maxima)
 
-        def components_with(i: int, recency_normalized: float) -> dict[str, float]:
-            # Insertion order matches the naive raw dict: the weighted
-            # sum folds in the same order.
-            return {
-                "topic_coverage": raw_tc[i] / max_tc if max_tc > 0 else 0.0,
-                "scientific_impact": raw_imp[i] / max_imp if max_imp > 0 else 0.0,
-                "recency": recency_normalized,
-                "review_experience": raw_rev[i] / max_rev if max_rev > 0 else 0.0,
-                "outlet_familiarity": raw_out[i] / max_out if max_out > 0 else 0.0,
-                "timeliness": raw_tml[i] / max_tml if max_tml > 0 else 0.0,
-            }
-
-        def exact_components(i: int) -> dict[str, float]:
-            normalized = (
-                exact_recency(i) / max_rec if max_rec > 0 else 0.0
+        def raw_row(i: int, recency_value: float) -> tuple[float, ...]:
+            return (
+                raw_tc[i],
+                raw_imp[i],
+                recency_value,
+                raw_rev[i],
+                raw_out[i],
+                raw_tml[i],
             )
-            return components_with(i, normalized)
 
         def scored_candidate(i: int) -> ScoredCandidate:
-            components = exact_components(i)
-            if owa:
-                total = owa_aggregate(
-                    list(components.values()), config.owa_weights
-                )
-            else:
-                total = weighted_total(components, weights)
+            total, components = score(raw_row(i, exact_recency(i)))
             return ScoredCandidate(
                 candidate=candidates[i],
-                total_score=round(total, 6),
+                total_score=total,
                 breakdown=ScoreBreakdown(**components),
             )
 
@@ -250,6 +301,7 @@ def rank_with_plane(
         else:
             # Optimistic totals: exact where recency is known, the
             # capped bound otherwise.
+            weights = config.weights.normalized()
             opt = [0.0] * n
             for i in range(n):
                 if exact_rec[i] is not None:
@@ -257,8 +309,7 @@ def rank_with_plane(
                 else:
                     bound = ubs[i] if ubs[i] < max_rec else max_rec
                 opt[i] = weighted_total(
-                    components_with(i, bound / max_rec if max_rec > 0 else 0.0),
-                    weights,
+                    normalize_components(raw_row(i, bound), maxima), weights
                 )
             heap: list[float] = []
             evaluated: list[ScoredCandidate] = []

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 from repro.text.normalize import normalize_keyword
 
 if TYPE_CHECKING:
-    from repro.core.models import Manuscript
     from repro.ontology.expansion import ExpandedKeyword
 
 
@@ -72,9 +71,14 @@ class ManuscriptQuery:
 
     @classmethod
     def compile(
-        cls, manuscript: Manuscript, expanded: list[ExpandedKeyword]
+        cls,
+        keywords: tuple[str, ...],
+        expanded: list[ExpandedKeyword],
+        target_venue: str = "",
     ) -> "ManuscriptQuery":
-        seed_expansions = group_expansions_by_seed(manuscript.keywords, expanded)
+        """Compile a manuscript's seed ``keywords``, their expansions and
+        its ``target_venue`` (``""`` when there is none)."""
+        seed_expansions = group_expansions_by_seed(keywords, expanded)
         recency_weights = {
             normalize_keyword(e.keyword): e.score for e in expanded
         }
@@ -83,12 +87,13 @@ class ManuscriptQuery:
             for keyword, score in recency_weights.items()
         )
         max_weight = max(recency_weights.values()) if recency_weights else 0.0
-        target = manuscript.target_venue
         return cls(
             seed_expansions=seed_expansions,
             recency_weights=recency_weights,
             title_terms=title_terms,
             max_weight=max_weight,
-            target_venue=target,
-            target_venue_norm=normalize_keyword(target) if target else "",
+            target_venue=target_venue,
+            target_venue_norm=(
+                normalize_keyword(target_venue) if target_venue else ""
+            ),
         )

@@ -1,11 +1,15 @@
-"""End-to-end scale-plane tests: the sharded query path against its
-brute-force reference, at every worker/shard combination the issue names."""
+"""End-to-end scale-plane tests: the sharded query path against the
+paper's own COI rule and ranking formula (``paper_reference_topk``), at
+every worker/shard combination."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.concurrency import create_executor
-from repro.scale.bench import popular_labels
+from repro.scale.bench import paper_reference_topk, popular_labels
 from repro.scale.plane import ScalePlane
+from repro.scoring.engine import COMPONENTS
 from repro.world.config import WorldConfig
 from repro.world.streaming import StreamingWorld
 
@@ -34,16 +38,12 @@ _GHOST = "author-999999"
 
 @pytest.fixture(scope="module")
 def reference(scale_world, keywords, submitters):
-    plane = ScalePlane(scale_world, n_shards=1)
-    plane.ingest()
-    return plane.brute_force_topk(keywords, submitters, k=10)
+    return paper_reference_topk(scale_world, keywords, submitters, k=10)
 
 
 @pytest.fixture(scope="module")
 def ghost_reference(scale_world, keywords, submitters):
-    # The full scan reads the world, not the index: no ingest needed.
-    plane = ScalePlane(scale_world, n_shards=1)
-    return plane.brute_force_topk(keywords, [*submitters, _GHOST], k=10)
+    return paper_reference_topk(scale_world, keywords, [*submitters, _GHOST], k=10)
 
 
 def _plane(scale_world, n_shards, workers=1):
@@ -66,28 +66,26 @@ class TestBitIdentity:
         n_shards,
         workers,
     ):
-        """The acceptance grid: sharded top-k is bit-identical to the
-        unsharded brute-force scan at 1/2/8 workers x 1/4/16 shards —
-        same ids, same floats, same order.  An unknown submitter id is
-        skipped by both paths alike."""
+        """The acceptance grid: sharded top-k equals the paper's ranking
+        of a full scan at 1/2/8 workers x 1/4/16 shards — same ids, same
+        totals, same six component values, same order.  An unknown
+        submitter id is skipped by both paths alike."""
         plane = _plane(scale_world, n_shards, workers)
         hits, stats = plane.topk(keywords, submitters, k=10)
         assert hits == reference
+        assert len(hits) == 10
+        assert all(tuple(h.components) == COMPONENTS for h in hits)
         assert stats.pool_size > 0
         ghost_hits, __ = plane.topk(keywords, [*submitters, _GHOST], k=10)
         assert ghost_hits == ghost_reference == reference
 
-    def test_plain_keyword_list_query(self, scale_world, reference, keywords, submitters):
+    def test_plain_keyword_list_query(self, scale_world, keywords, submitters):
+        """A plain label list is the same query with every sc = 1.0."""
         plane = _plane(scale_world, 4)
-        weighted, __ = plane.topk(keywords, submitters, k=10)
-        unweighted, __ = plane.topk(list(keywords), submitters, k=10)
-        assert [h.candidate_id for h in weighted] == [
-            h.candidate_id for h in reference
-        ]
-        # Dropping the query weights re-ranks but stays canonical.
-        assert unweighted == sorted(
-            unweighted, key=lambda h: (-h.total_score, h.candidate_id)
-        )
+        plain, __ = plane.topk(list(keywords), submitters, k=10)
+        unit, __ = plane.topk({k: 1.0 for k in keywords}, submitters, k=10)
+        assert plain == unit
+        assert plain
 
     def test_pool_limit_caps_work(self, scale_world, keywords, submitters):
         plane = _plane(scale_world, 4)
@@ -96,6 +94,58 @@ class TestBitIdentity:
         assert capped.pool_size == 20 < full.pool_size
         assert capped.scored <= capped.pool_size
         assert capped.scored < full.scored
+
+
+#: Small worlds for the property below, built and ingested once each.
+_SMALL_WORLDS = ((48, 3), (96, 5), (128, 7))
+_small_planes: dict = {}
+
+
+def _small_plane(size, seed, n_shards):
+    key = (size, seed, n_shards)
+    if key not in _small_planes:
+        world = StreamingWorld(WorldConfig(author_count=size, seed=seed), block_size=16)
+        plane = ScalePlane(world, n_shards=n_shards)
+        plane.ingest()
+        _small_planes[key] = plane
+    return _small_planes[key]
+
+
+class TestPaperReferenceProperty:
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_topk_equals_paper_reference(self, data):
+        """Property: on small worlds, any label triple with any weights
+        and any submitters (an unknown id among them) ranks exactly as
+        the paper's COI rule and formula do, at 1, 4 and 16 shards."""
+        size, seed = data.draw(st.sampled_from(_SMALL_WORLDS))
+        plane = _small_plane(size, seed, data.draw(st.sampled_from([1, 4, 16])))
+        labels = popular_labels(plane.world, sample=size, count=8)
+        triple = data.draw(
+            st.lists(st.sampled_from(labels), min_size=3, max_size=3, unique=True)
+        )
+        weights = data.draw(
+            st.lists(
+                st.floats(min_value=0.05, max_value=1.0),
+                min_size=3,
+                max_size=3,
+            )
+        )
+        submitters = data.draw(
+            st.lists(
+                st.integers(0, size - 1).map(lambda i: f"author-{i}"),
+                max_size=3,
+            )
+        )
+        submitters.insert(data.draw(st.integers(0, len(submitters))), _GHOST)
+        k = data.draw(st.sampled_from([1, 10, 50]))
+        keywords = dict(zip(triple, weights))
+        hits, __ = plane.topk(keywords, submitters, k=k)
+        assert hits == paper_reference_topk(plane.world, keywords, submitters, k=k)
 
 
 class TestScreening:

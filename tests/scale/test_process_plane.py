@@ -13,17 +13,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.concurrency import create_executor
-from repro.scale.bench import popular_labels
-from repro.scale.plane import ScalePlane
+from repro.scale.bench import paper_reference_topk, popular_labels
+from repro.scale.plane import ScalePlane, query_expansions
 from repro.scale.worker import (
     TASK_TYPES,
     ComponentRowsTask,
     RetrieveShardTask,
     ScaleWorkerBootstrap,
-    ScoreRowsTask,
     ScreenShardTask,
     run_scale_task,
 )
+from repro.scoring.query import ManuscriptQuery
 from repro.world.config import WorldConfig
 from repro.world.streaming import StreamingWorld
 
@@ -74,22 +74,26 @@ class TestBitIdentity:
     def test_grid_point_matches_brute_force(
         self, scale_world, labels, submitters, n_shards, workers
     ):
+        """Process-backed top-k equals the paper's ranking of a full
+        scan: ids, totals and all six components; an unknown submitter
+        id changes nothing."""
         keywords = {labels[0]: 1.0, labels[1]: 0.8, labels[2]: 0.5}
-        reference_plane = ScalePlane(scale_world, n_shards=n_shards)
-        reference_plane.ingest()
-        reference = reference_plane.brute_force_topk(keywords, submitters, k=10)
+        reference = paper_reference_topk(scale_world, keywords, submitters, k=10)
         executor = create_executor(
             workers,
             "process",
-            bootstrap=ScaleWorkerBootstrap.for_plane(reference_plane),
+            bootstrap=ScaleWorkerBootstrap.for_world(scale_world, n_shards),
         )
         plane = ScalePlane(scale_world, n_shards=n_shards, executor=executor)
         plane.ingest()
         try:
             hits, stats = plane.topk(keywords, submitters, k=10)
+            ghost_hits, __ = plane.topk(
+                keywords, [*submitters, "author-999999"], k=10
+            )
         finally:
             executor.close()
-        assert hits == reference
+        assert hits == reference == ghost_hits
         assert stats.pool_size > 0
 
     def test_shard_cost_accounting_identical(
@@ -142,7 +146,7 @@ class TestProcessSequentialProperty:
 
 class TestPlanesSideBySide:
     def test_each_plane_answers_from_its_own_world(
-        self, sequential_plane, process_plane, labels, submitters
+        self, scale_world, sequential_plane, process_plane, labels, submitters
     ):
         """A process plane registers itself as the in-process fallback
         target; in-process planes over this world and another one,
@@ -156,9 +160,9 @@ class TestPlanesSideBySide:
         keywords = {labels[0]: 1.0, labels[1]: 0.8, labels[2]: 0.5}
         own, __ = process_plane.topk(keywords, submitters, k=10)
         other, __ = other_plane.topk(keywords, submitters, k=10)
-        assert own == sequential_plane.brute_force_topk(keywords, submitters, k=10)
+        assert own == paper_reference_topk(scale_world, keywords, submitters, k=10)
         assert sequential_plane.topk(keywords, submitters, k=10)[0] == own
-        assert other == other_plane.brute_force_topk(keywords, submitters, k=10)
+        assert other == paper_reference_topk(other_world, keywords, submitters, k=10)
         assert other and other != own
 
 
@@ -178,12 +182,10 @@ class TestDescriptorPickling:
                 submitter_affs=(("mit", 1, 2),),
             ),
             ComponentRowsTask: ComponentRowsTask(
-                shard_id=2, members=("author-3", "author-7")
-            ),
-            ScoreRowsTask: ScoreRowsTask(
-                rows=(("author-3", 1.0, 2.0, 3.0, 4.0, 0.5),),
-                maxima=(1.0, 2.0, 3.0, 4.0),
-                k=5,
+                candidate_ids=("author-3", "author-7"),
+                query=ManuscriptQuery.compile(
+                    ("graphs", "ml"), query_expansions({"graphs": 1.0, "ml": 0.5})
+                ),
             ),
         }
 
@@ -215,8 +217,6 @@ class TestDescriptorPickling:
         worker_module._PARENT_PLANE.clear()
         try:
             with pytest.raises(RuntimeError, match="no hydrated ScalePlane"):
-                run_scale_task(
-                    ScoreRowsTask(rows=(), maxima=(0.0, 0.0, 0.0, 0.0), k=1)
-                )
+                run_scale_task(RetrieveShardTask(shard_id=0, terms=("graphs",)))
         finally:
             worker_module._PARENT_PLANE.update(saved)

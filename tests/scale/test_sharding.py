@@ -93,36 +93,7 @@ class TestSearchParity:
         ]
 
 
-class TestWriteParity:
-    @pytest.mark.parametrize("n_shards", [1, 4])
-    def test_replace_term(self, n_shards):
-        mono, sharded = _pair(n_shards)
-        new = {f"doc-{i}": 1.5 for i in range(0, 40, 3)}
-        mono.replace_term("rdf", new)
-        sharded.replace_term("rdf", new)
-        assert sharded.postings("rdf") == mono.postings("rdf")
-        assert sharded.search(_TERMS) == mono.search(_TERMS)
-        mono.replace_term("rdf", {})
-        sharded.replace_term("rdf", {})
-        assert sharded.postings("rdf") == [] == mono.postings("rdf")
-        assert sharded.document_frequency("rdf") == 0
-
-    @pytest.mark.parametrize("n_shards", [1, 4])
-    def test_add_term_and_remove(self, n_shards):
-        mono, sharded = _pair(n_shards)
-        extra = {f"doc-{i}": 0.7 for i in range(50, 70)}
-        mono.add_term("fresh", extra)
-        sharded.add_term("fresh", extra)
-        assert sharded.postings("fresh") == mono.postings("fresh")
-        for doc_id in ("doc-3", "doc-55", "doc-999"):
-            mono.remove(doc_id)
-            sharded.remove(doc_id)
-        assert len(sharded) == len(mono)
-        assert sharded.search(_TERMS + ["fresh"]) == mono.search(_TERMS + ["fresh"])
-        assert "doc-3" not in sharded
-        assert "doc-4" in sharded
-        assert sharded.terms_of("doc-4") == mono.terms_of("doc-4")
-
+class TestStats:
     def test_stats_aggregate_matches_monolithic(self):
         mono, sharded = _pair(4)
         mono_stats, sharded_stats = mono.stats(), sharded.stats()

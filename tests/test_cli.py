@@ -576,11 +576,64 @@ class TestScaleBenchCommand:
         report = json.loads(capsys.readouterr().out)
         assert [entry["authors"] for entry in report["sizes"]] == [300, 900]
         # Both sizes are under the verification cap: the sharded top-k
-        # must have matched the brute-force reference at each.
+        # must have matched the paper reference at each.
         assert all(
-            entry["topk_matches_brute_force"] is True for entry in report["sizes"]
+            entry["topk_matches_reference"] is True for entry in report["sizes"]
         )
         assert report["interning"]["saved_bytes"] > 0
+
+    @pytest.mark.parametrize("output", [[], ["--json"]])
+    @pytest.mark.parametrize("broken", ["size", "grid"])
+    def test_reference_mismatch_exits_nonzero(
+        self, monkeypatch, capsys, output, broken
+    ):
+        """A top-k that differs from the reference — at a swept size or
+        in the process grid — fails the command in both output modes."""
+        from repro.scale import bench
+
+        def mismatching(**kwargs):
+            report = {
+                "name": "EXP-SCALE",
+                "shards": 4,
+                "workers": 2,
+                "backend": "process",
+                "k": 10,
+                "sizes": [
+                    {
+                        "authors": 300,
+                        "ingest_seconds": 0.1,
+                        "index": {"postings": 700},
+                        "mean_wall_seconds": 0.01,
+                        "topk_matches_reference": broken != "size",
+                        "queries": [],
+                    }
+                ],
+                "interning": {
+                    "authors": 300,
+                    "plain_bytes": 2,
+                    "interned_bytes": 1,
+                    "saved_pct": 50.0,
+                },
+                "process": {
+                    "size": 300,
+                    "workers": 2,
+                    "cpus": 2,
+                    "measured_speedup": 1.0,
+                    "sequential_wall_seconds": 0.01,
+                    "process_wall_seconds": 0.01,
+                    "first_query_wall_seconds": 1.0,
+                    "topk_identical": True,
+                    "grid": [{"processes": 2, "shards": 4, "identical": False}],
+                    "grid_identical": broken != "grid",
+                },
+            }
+            return report
+
+        monkeypatch.setattr(bench, "run_scale_bench", mismatching)
+        assert main([*self.ARGS, *output]) == 1
+        printed = capsys.readouterr().out
+        if not output:
+            assert ("NO" if broken == "size" else "MISMATCH") in printed
 
     def test_out_writes_json_file(self, tmp_path, capsys):
         import json
