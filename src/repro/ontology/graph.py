@@ -157,14 +157,21 @@ class TopicOntology:
         return len(self._topics)
 
     def __contains__(self, topic_id: str) -> bool:
-        return slugify(topic_id) in self._topics
+        return topic_id in self._topics or slugify(topic_id) in self._topics
 
     def topics(self) -> Iterator[Topic]:
         """Iterate over every topic."""
         return iter(self._topics.values())
 
     def topic(self, topic_id: str) -> Topic:
-        """Fetch a topic by id; raises :class:`UnknownTopicError`."""
+        """Fetch a topic by id; raises :class:`UnknownTopicError`.
+
+        Stored ids are slugs and ``slugify`` fixes a slug, so an exact
+        hit skips normalisation without changing any answer.
+        """
+        topic = self._topics.get(topic_id)
+        if topic is not None:
+            return topic
         slug = slugify(topic_id)
         try:
             return self._topics[slug]
@@ -192,7 +199,7 @@ class TopicOntology:
         ``rdf --broader--> semantic-web`` edge yields
         ``(rdf, NARROWER)``.
         """
-        slug = slugify(topic_id)
+        slug = topic_id if topic_id in self._topics else slugify(topic_id)
         if slug not in self._topics:
             raise UnknownTopicError(slug)
         result = []

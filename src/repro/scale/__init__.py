@@ -14,19 +14,26 @@ the unsharded path at any worker or shard count.
 
 :class:`ScalePlane` composes the pieces over a
 :class:`repro.world.StreamingWorld`: ingest streams scholars once into
-the sharded interest index and COI maps, and each query touches only
-the retrieved pool — realising candidate blocks on demand instead of
-holding O(world) scholars resident.  The pool is ranked with MINARET's
+the sharded interest index, the COI maps and the array-backed ranking
+columns (:class:`repro.scale.columns.ScholarColumns`), and each query
+touches only the retrieved pool's column rows — no block is realised
+after ingest and no scholar object stays resident.  A query costs two
+fan-outs: retrieval, then screening, whose per-shard task also reads
+the survivors' raw components.  The pool is ranked with MINARET's
 own §2.3 formula through :mod:`repro.scoring` (the kernel the pipeline
 uses), and with no pool cap the top-k equals
 :func:`repro.scale.bench.paper_reference_topk` — ``CoiDetector`` and
 ``NaiveRanker`` run over every matching scholar.
 """
 
-from repro.scale.plane import PoolMember, ScalePlane, ScaleVerdict
+from repro.scale.plane import (
+    PlaneNotIngestedError,
+    PoolMember,
+    ScalePlane,
+    ScaleVerdict,
+)
 from repro.scale.sharding import ShardedInvertedIndex, shard_of
 from repro.scale.worker import (
-    ComponentRowsTask,
     RetrieveShardTask,
     ScaleWorkerBootstrap,
     ScreenShardTask,
@@ -34,7 +41,7 @@ from repro.scale.worker import (
 )
 
 __all__ = [
-    "ComponentRowsTask",
+    "PlaneNotIngestedError",
     "PoolMember",
     "RetrieveShardTask",
     "ScalePlane",

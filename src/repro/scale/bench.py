@@ -6,7 +6,8 @@ CI artifact and the docs all describe the same measurement:
 
 - **Pool-size sweep**: worlds of 10^3 → 10^5+ scholars are streamed
   into a sharded :class:`~repro.scale.plane.ScalePlane`; per-query
-  wall-clock time and the retrieved pool are recorded at each size.
+  wall-clock time, the retrieved pool and the plane's memory
+  (:func:`plane_bytes`, as ``plane_mb``) are recorded at each size.
   Per-query work tracks the retrieved pool, not the population, so
   wall time grows sub-linearly in world size — the claim the sweep
   table checks.
@@ -27,18 +28,31 @@ CI artifact and the docs all describe the same measurement:
 
 from __future__ import annotations
 
+import gc
 import os
+import platform
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
+from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
 
 from repro.concurrency import create_executor
 from repro.core.coi import CoiDetector
 from repro.core.config import CoiConfig, PipelineConfig
-from repro.core.models import Manuscript, ManuscriptAuthor, VerifiedAuthor
+from repro.core.models import Candidate, Manuscript, ManuscriptAuthor, VerifiedAuthor
 from repro.core.ranking import NaiveRanker
-from repro.scale.plane import ScaleHit, ScalePlane, candidate_of, query_expansions
+from repro.scale.plane import ScaleHit, ScalePlane, query_expansions
 from repro.scale.worker import ScaleWorkerBootstrap
+from repro.scholarly.records import (
+    MergedProfile,
+    Metrics,
+    SourceName,
+    compute_h_index,
+    compute_i10_index,
+)
 from repro.world.config import WorldConfig
 from repro.world.streaming import StreamingWorld
 
@@ -60,6 +74,65 @@ def popular_labels(world: StreamingWorld, sample: int = 500, count: int = 6) -> 
             :count
         ]
     ]
+
+
+def candidate_of(world: StreamingWorld, candidate_id: str) -> Candidate:
+    """A pipeline :class:`~repro.core.models.Candidate` realised from a
+    streamed world (the owning block comes via the world's LRU): what
+    the paper's own COI rule and ranker read of a scholar."""
+    scholar = world.scholar(candidate_id)
+    author = scholar.author
+    citations = [p.citation_count for p in scholar.publications]
+    pubs = [
+        {
+            "id": p.pub_id,
+            "title": p.title,
+            "year": p.year,
+            "keywords": list(p.keywords),
+            "venue": world.venues[p.venue_id].name,
+        }
+        for p in scholar.publications
+    ]
+    venue_counts: dict[str, int] = {}
+    on_time = 0
+    for review in scholar.reviews:
+        venue = world.venues[review.venue_id].name
+        venue_counts[venue] = venue_counts.get(venue, 0) + 1
+        on_time += 1 if review.on_time else 0
+    ontology = world.ontology
+    interests = tuple(
+        ontology.topic(t).label for t in sorted(author.topic_expertise)
+    )
+    profile = MergedProfile(
+        canonical_name=author.name,
+        source_ids=((SourceName.DBLP, candidate_id),),
+        affiliations=author.affiliations,
+        interests=interests,
+        metrics=Metrics(
+            citations=sum(citations),
+            h_index=compute_h_index(citations),
+            i10_index=compute_i10_index(citations),
+        ),
+        publication_ids=tuple(p.pub_id for p in scholar.publications),
+        review_ids=tuple(r.review_id for r in scholar.reviews),
+    )
+    return Candidate(
+        candidate_id=candidate_id,
+        name=author.name,
+        profile=profile,
+        scholar_publications=pubs,
+        dblp_publications=pubs,
+        review_count=len(scholar.reviews),
+        on_time_rate=(
+            round(on_time / len(scholar.reviews), 4)
+            if scholar.reviews
+            else None
+        ),
+        venues_reviewed=[
+            {"venue": venue, "count": count}
+            for venue, count in sorted(venue_counts.items())
+        ],
+    )
 
 
 def paper_reference_topk(
@@ -169,6 +242,81 @@ def measure_interning(author_count: int = 1000, seed: int = 42) -> dict:
     }
 
 
+def plane_bytes(plane: ScalePlane) -> int:
+    """Bytes of the Python objects a plane keeps for its queries.
+
+    Every object reachable from the plane's index, COI posting maps and
+    ranking columns, counted once with :func:`sys.getsizeof` — shared
+    strings such as author ids included, allocator overhead not.
+    """
+    skip = (type, ModuleType, FunctionType, BuiltinFunctionType, MethodType)
+    stack = [plane.index, plane._institutions, plane._coauthors, plane._columns]
+    seen: set[int] = set()
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+def host_facts() -> dict:
+    """The machine and checkout a report was measured on.
+
+    ``commit`` is the checkout's git HEAD (``None`` outside a git
+    checkout) and ``dirty`` says whether tracked files differed from it.
+    """
+
+    def git(*args: str) -> str:
+        try:
+            return subprocess.run(
+                ["git", *args],
+                cwd=Path(__file__).resolve().parent,
+                capture_output=True,
+                text=True,
+                timeout=10,
+                check=False,
+            ).stdout.strip()
+        except (OSError, subprocess.TimeoutExpired):
+            return ""
+
+    commit = git("rev-parse", "HEAD")
+    return {
+        "cpus": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "processor": platform.processor() or platform.machine(),
+        "commit": commit or None,
+        "dirty": bool(commit and git("status", "--porcelain", "--untracked-files=no")),
+    }
+
+
+def _worker_pid(delay: float) -> int:
+    """Pool probe task: hold a worker for ``delay`` seconds, return its pid."""
+    time.sleep(delay)
+    return os.getpid()
+
+
+def wait_for_workers(executor, delay: float = 0.05) -> float:
+    """Block until every worker of a process pool has run a task.
+
+    A spawned worker takes tasks only once its bootstrap has hydrated,
+    so a query that returns may have been served by the first workers
+    while the rest still rebuild their replicas — and take CPU from the
+    queries that follow.  Each round hands every worker a short sleep:
+    a ready worker holds one at a time, so a worker that finishes
+    hydrating gets one in the next round.  Returns the seconds waited.
+    """
+    start = time.perf_counter()
+    seen: set[int] = set()
+    while len(seen) < executor.workers:
+        seen.update(executor.map(_worker_pid, [delay] * executor.workers))
+    return time.perf_counter() - start
+
+
 def _bench_queries(labels: list[str], count: int, k_weights=((0, 1.0), (1, 0.8), (2, 0.5))):
     """The deterministic query set every measurement variant reuses."""
     return [
@@ -203,7 +351,9 @@ def measure_process_speedup(
       :class:`~repro.scale.worker.ScaleWorkerBootstrap`).  The first
       process query is reported separately (it pays pool spawn + world
       rehydration) and excluded from the steady-state mean, exactly as a
-      persistent serving pool would amortize it.  ``cpus`` records the
+      persistent serving pool would amortize it; timing starts once
+      :func:`wait_for_workers` has seen every worker hydrated
+      (``workers_ready_seconds`` after the first query).  ``cpus`` records the
       cores available — on a single-core host the measured number is
       ≈1× or below.
     - **Bit-identity grid** at ``grid_size`` scholars: every
@@ -230,7 +380,7 @@ def measure_process_speedup(
             all_hits.append(hits)
         return walls, all_hits
 
-    # Warm caches (world LRU blocks, feature store), then measure.
+    # One untimed pass first (as run_scale_bench warms each size).
     timed_run(sequential_plane)
     seq_walls, seq_hits = timed_run(sequential_plane)
 
@@ -247,6 +397,7 @@ def measure_process_speedup(
             query_set[0], submitters, k=k, pool_limit=pool_limit
         )
         first_query_wall = time.perf_counter() - t0
+        workers_ready = wait_for_workers(executor)
         proc_walls, proc_hits = timed_run(process_plane)
     finally:
         executor.close()
@@ -293,6 +444,7 @@ def measure_process_speedup(
         "process_wall_seconds": round(proc_mean, 4),
         "measured_speedup": round(seq_mean / proc_mean, 3) if proc_mean else 0.0,
         "first_query_wall_seconds": round(first_query_wall, 4),
+        "workers_ready_seconds": round(workers_ready, 4),
         "topk_identical": proc_hits == seq_hits and first_hits == seq_hits[0],
         "grid_size": grid_size,
         "grid": grid,
@@ -319,7 +471,9 @@ def run_scale_bench(
     ``pool_limit`` caps the retrieved pool per query — the setting that
     makes per-query wall time sub-linear in world size (posting scans
     grow with the population, but screening and scoring work only the
-    pool).
+    pool).  Each size runs one untimed query before the timed ones, so
+    ``mean_wall_seconds`` compares warm queries across sizes; that first
+    query's wall is reported as ``first_query_wall_seconds``.
     ``verify_max`` bounds the sizes at which :func:`paper_reference_topk`
     runs (it is O(world) per query by design); the verification query
     runs uncapped, since the reference considers every match.
@@ -337,6 +491,7 @@ def run_scale_bench(
         executor = create_executor(workers, effective_backend)
     report: dict = {
         "name": "EXP-SCALE",
+        "host": host_facts(),
         "shards": shards,
         "workers": workers,
         "backend": effective_backend,
@@ -359,15 +514,16 @@ def run_scale_bench(
         t0 = time.perf_counter()
         plane.ingest()
         ingest_seconds = time.perf_counter() - t0
-        labels = popular_labels(world)
         submitters = ["author-0", "author-1"]
+        query_set = _bench_queries(popular_labels(world), queries_per_size)
+        # One untimed query first: the mean compares warm to warm across
+        # sizes, and the first query's wall is reported on its own.
+        t0 = time.perf_counter()
+        plane.topk(query_set[0], submitters, k=k, pool_limit=pool_limit)
+        first_query_seconds = time.perf_counter() - t0
         per_query = []
         verified = None
-        for query_index in range(queries_per_size):
-            keywords = {
-                labels[(query_index + offset) % len(labels)]: weight
-                for offset, weight in ((0, 1.0), (1, 0.8), (2, 0.5))
-            }
+        for query_index, keywords in enumerate(query_set):
             t0 = time.perf_counter()
             hits, stats = plane.topk(
                 keywords, submitters, k=k, pool_limit=pool_limit
@@ -393,11 +549,13 @@ def run_scale_bench(
             {
                 "authors": size,
                 "ingest_seconds": round(ingest_seconds, 2),
+                "plane_mb": round(plane_bytes(plane) / 2**20, 1),
                 "index": {
                     key: value
                     for key, value in plane.index.stats().items()
                     if key != "per_shard"
                 },
+                "first_query_wall_seconds": round(first_query_seconds, 4),
                 "mean_wall_seconds": round(
                     sum(q["wall_seconds"] for q in per_query) / len(per_query), 4
                 ),

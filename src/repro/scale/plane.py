@@ -5,27 +5,28 @@ population scale:
 
 1. **Ingest** walks the :class:`~repro.world.streaming.StreamingWorld`
    once, block by block, and keeps only *index* structures: the sharded
-   interest index (keyword → scholar postings), and the COI screen's
+   interest index (keyword → scholar postings), the COI screen's
    posting maps — ``institution → (start, end, candidate)`` intervals
    and per-candidate co-author sets — both sharded by
-   :func:`~repro.scale.sharding.shard_of`.  No scholar object stays
-   resident; memory is O(postings), not O(world).
+   :func:`~repro.scale.sharding.shard_of`, and the array-backed ranking
+   columns.  No scholar object stays resident; memory is O(postings +
+   publication rows), not O(world objects).
 2. **Retrieval** scores every shard of the interest index under the
-   global idf and merges the per-shard score maps
-   (:func:`~repro.scale.sharding.merge_scored`).
+   global idf, cuts each shard to its own top ``pool_limit``, and merges
+   the per-shard score maps (:func:`~repro.scale.sharding.merge_scored`).
 3. **COI screening** fans per-shard: each shard screens its own pool
    members against its own co-author sets and probes its own
    institution postings with the submitters' affiliation intervals —
    the default :class:`~repro.core.coi.CoiDetector` rule (shared
    publications, overlapping institution periods concretised by
    :func:`~repro.scoring.features.concretize_interval`, same person).
-4. **Scoring** realises only the surviving pool through the streaming
-   world (LRU-cached blocks), builds features through one
-   :class:`~repro.scoring.features.FeatureStore`, and computes MINARET's
-   six raw §2.3 components per shard with the :mod:`repro.scoring`
-   kernel.  The parent then takes the pool maxima — normalisation
-   couples every candidate to every other, so it is the one global
-   step — scores the whole pool with
+   In the same task, each survivor's six raw §2.3 components are read
+   from the :class:`~repro.scale.columns.ScholarColumns` that ingest
+   recorded while it walked the blocks — no block is realised after
+   ingest — with the :mod:`repro.scoring` kernel.
+4. **Scoring** runs in the parent: it takes the pool maxima —
+   normalisation couples every candidate to every other, so it is the
+   one global step — scores the whole pool with
    :func:`~repro.scoring.engine.pool_scorer`, and cuts the top-k under
    the canonical ``(-score, candidate_id)`` tie-break.
 
@@ -45,8 +46,10 @@ with :class:`~repro.core.ranking.NaiveRanker`.
 
 Every fan-out has one dispatch path: the plane builds the
 :mod:`repro.scale.worker` task descriptors and maps them through its
-executor.  In-process executors run each descriptor against this plane;
-a :class:`~repro.concurrency.process.ProcessExecutor` (detected via
+executor, one chunk of shards per worker — on a process pool each chunk
+is one pickled round trip, and a query makes two fan-outs.  In-process
+executors run each descriptor against this plane; a
+:class:`~repro.concurrency.process.ProcessExecutor` (detected via
 ``requires_pickling``) ships them to worker-local plane replicas
 rehydrated from the world seed, with results — and the workers'
 telemetry deltas — merged by the parent exactly as in-process.
@@ -61,33 +64,26 @@ from repro.concurrency import Executor, SequentialExecutor
 from repro.core.config import PipelineConfig
 from repro.obs import get_obs
 from repro.ontology.expansion import ExpandedKeyword
+from repro.scale.columns import ScholarColumns
 from repro.scale.sharding import ShardedInvertedIndex, merge_scored, shard_of
 from repro.scale.worker import (
-    ComponentRowsTask,
     RetrieveShardTask,
     ScreenShardTask,
     register_parent_plane,
     run_scale_task,
 )
-from repro.scholarly.records import (
-    Metrics,
-    SourceName,
-    compute_h_index,
-    compute_i10_index,
-)
-from repro.scoring.engine import (
-    outlet_familiarity,
-    pool_scorer,
-    recency,
-    scientific_impact,
-    topic_coverage,
-)
-from repro.scoring.features import (
-    FeatureStore,
-    ScoringContext,
-    concretize_interval,
-)
+from repro.scoring.engine import pool_scorer
+from repro.scoring.features import concretize_interval
 from repro.scoring.query import ManuscriptQuery
+
+
+class PlaneNotIngestedError(RuntimeError):
+    """A query reached a :class:`ScalePlane` whose ``ingest()`` never ran."""
+
+    def __init__(self, name: str):
+        super().__init__(
+            f"scale plane {name!r} is empty: call ingest() before querying it"
+        )
 
 
 @dataclass(frozen=True)
@@ -100,11 +96,17 @@ class PoolMember:
 
 @dataclass(frozen=True)
 class ScaleVerdict:
-    """COI outcome for one pool member."""
+    """COI outcome for one pool member.
+
+    A survivor's verdict carries its six raw §2.3 components for the
+    query in :data:`~repro.scoring.engine.COMPONENTS` order (``None``
+    on a conflict).
+    """
 
     candidate_id: str
     has_conflict: bool
     reasons: tuple[str, ...] = ()
+    raw: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -161,12 +163,10 @@ class ScalePlane:
             # descriptors against.
             register_parent_plane(self)
         self.index = ShardedInvertedIndex(n_shards, name=name)
-        self.features = FeatureStore(
-            epoch_provider=lambda: self.index.epoch, name=name
-        )
         # MINARET's defaults, dated to the world's "today".
         self._config = PipelineConfig(current_year=world.config.current_year)
-        self._context = ScoringContext.from_config(self._config)
+        #: Set by ingest(); a query on a plane without them raises.
+        self._columns: ScholarColumns | None = None
         # COI posting maps, partitioned like the index: shard s holds
         # only candidates with shard_of(id) == s.
         self._institutions: list[dict[str, list[tuple[int, int, str]]]] = [
@@ -181,44 +181,61 @@ class ScalePlane:
     # ------------------------------------------------------------------
 
     def ingest(self) -> dict:
-        """Stream the world once into the sharded index structures.
+        """Stream the world once into the sharded index structures and
+        the ranking columns.
 
         Blocks are realised transiently (not via the world's LRU), so
-        peak memory during ingest is one block plus the indexes being
+        peak memory during ingest is one block plus the structures being
         built.  Returns the post-ingest :meth:`stats` snapshot.
         """
         world = self.world
         obs = get_obs()
         ontology = world.ontology
         current_year = self._config.current_year
+        columns = ScholarColumns(self._config)
         with obs.span("scale.ingest", shards=self.n_shards):
             block_count = -(-world.config.author_count // world.block_size)
             for block_id in range(block_count):
                 block = world._realize_block(block_id)
                 for author in block.authors.values():
-                    shard_id = shard_of(author.author_id, self.n_shards)
+                    author_id = author.author_id
+                    shard_id = shard_of(author_id, self.n_shards)
                     interests = {
                         ontology.topic(topic_id).label: weight
                         for topic_id, weight in sorted(
                             author.topic_expertise.items()
                         )
                     }
-                    self.index.add(author.author_id, interests)
+                    self.index.add(author_id, interests)
+                    # Blocks hold their authors in index order, so
+                    # column row i is author-i.
+                    columns.append(
+                        author.name,
+                        interests,
+                        [block.publications[p] for p in block.pubs_by_author[author_id]],
+                        [block.reviews[r] for r in block.reviews_by_author[author_id]],
+                    )
                     postings = self._institutions[shard_id]
                     for aff in author.affiliations:
                         start, end = concretize_interval(
                             aff.start_year, aff.end_year, current_year
                         )
                         postings.setdefault(aff.institution, []).append(
-                            (start, end, author.author_id)
+                            (start, end, author_id)
                         )
-                    self._coauthors[shard_id][author.author_id] = frozenset(
-                        block.coauthors[author.author_id]
+                    self._coauthors[shard_id][author_id] = frozenset(
+                        block.coauthors[author_id]
                     )
+        columns.freeze()
+        self._columns = columns
         return self.stats()
 
     def refresh(self) -> int:
-        """Plane-level refresh: bump every shard epoch (features follow)."""
+        """Plane-level refresh: bump every shard epoch.
+
+        The columns are a pure function of the world's seed, so they
+        stay valid across a refresh.
+        """
         return self.index.bump_epoch()
 
     def stats(self) -> dict:
@@ -227,10 +244,15 @@ class ScalePlane:
             "shards": self.n_shards,
             "authors": self.world.config.author_count,
             "index": index_stats,
-            "features": self.features.stats(),
+            "columns": self._columns.stats() if self._columns is not None else None,
             "coi_institution_terms": sum(len(m) for m in self._institutions),
             "coi_candidates": sum(len(m) for m in self._coauthors),
         }
+
+    def _ingested_columns(self) -> ScholarColumns:
+        if self._columns is None:
+            raise PlaneNotIngestedError(self._name)
+        return self._columns
 
     # ------------------------------------------------------------------
     # Query path
@@ -241,11 +263,17 @@ class ScalePlane:
 
         The one dispatch path of every phase: a process pool runs each
         descriptor against its worker's replica; any other executor runs
-        it against this plane.
+        it against this plane.  Tasks go in one chunk per worker: on a
+        process pool every chunk is a pickled round trip plus a
+        telemetry delta to absorb, which per-shard submission would pay
+        ``n_shards`` times.
         """
+        chunk_size = max(1, -(-len(tasks) // self._executor.workers))
         if self._remote:
-            return self._executor.map(run_scale_task, tasks)
-        return self._executor.map(lambda task: task.run(self), tasks)
+            return self._executor.map(run_scale_task, tasks, chunk_size=chunk_size)
+        return self._executor.map(
+            lambda task: task.run(self), tasks, chunk_size=chunk_size
+        )
 
     def retrieve(
         self,
@@ -256,8 +284,11 @@ class ScalePlane:
 
         Global idf is computed here, once, and shipped in each
         :class:`~repro.scale.worker.RetrieveShardTask`: every shard must
-        score under the global corpus view, never its local one.
+        score under the global corpus view, never its local one.  Each
+        shard returns only its top ``limit``, which is all the merge can
+        keep of it.
         """
+        self._ingested_columns()
         terms, weights = _normalize_query(keywords)
         obs = get_obs()
         with obs.span("scale.retrieve", shards=self.n_shards, terms=len(terms)):
@@ -269,6 +300,7 @@ class ScalePlane:
                         terms=tuple(terms),
                         weights=weights,
                         idf=idf,
+                        limit=limit,
                     )
                     for shard_id in range(self.n_shards)
                 ]
@@ -277,14 +309,19 @@ class ScalePlane:
         return [PoolMember(p.doc_id, p.weight) for p in postings]
 
     def screen(
-        self, pool: list[PoolMember], submitter_ids: list[str]
+        self,
+        pool: list[PoolMember],
+        submitter_ids: list[str],
+        query: ManuscriptQuery,
     ) -> list[ScaleVerdict]:
         """Shard-parallel COI screening of the retrieved pool.
 
         Per shard: probe the shard's institution postings with every
         submitter affiliation interval, then test each pool member for
-        co-authorship with (or identity to) a submitter.  Verdicts come
-        back in pool order.
+        co-authorship with (or identity to) a submitter.  The same task
+        reads each survivor's raw components for ``query`` from the
+        columns into its verdict's ``raw``, so scoring needs no fan-out
+        of its own.  Verdicts come back in pool order.
         """
         submitters = set(submitter_ids)
         submitter_affs: list[tuple[str, int, int]] = []
@@ -301,10 +338,12 @@ class ScalePlane:
                     )
                 )
 
-        partitions: dict[int, list[tuple[int, PoolMember]]] = {}
+        partitions: dict[int, list[tuple[int, str]]] = {}
         for position, member in enumerate(pool):
             shard_id = shard_of(member.candidate_id, self.n_shards)
-            partitions.setdefault(shard_id, []).append((position, member))
+            partitions.setdefault(shard_id, []).append(
+                (position, member.candidate_id)
+            )
         obs = get_obs()
         with obs.span(
             "scale.coi", shards=len(partitions), pool=len(pool)
@@ -316,6 +355,7 @@ class ScalePlane:
                         members=tuple(members),
                         submitters=frozenset(submitters),
                         submitter_affs=tuple(submitter_affs),
+                        query=query,
                     )
                     for shard_id, members in sorted(partitions.items())
                 ]
@@ -329,18 +369,22 @@ class ScalePlane:
     def screen_shard(
         self,
         shard_id: int,
-        members: list[tuple[int, PoolMember]],
+        members: list[tuple[int, str]],
         submitters: set[str],
         submitter_affs: list[tuple[str, int, int]],
+        query: ManuscriptQuery,
     ) -> list[tuple[int, ScaleVerdict]]:
         """Screen one shard's pool slice (what a ``ScreenShardTask`` runs).
 
         Probes this shard's institution postings with the submitters'
-        affiliation intervals, then tests each member for identity with
-        or co-authorship of a submitter.  Takes every query-scoped input
+        affiliation intervals, then tests each ``(position,
+        candidate_id)`` member for identity with or co-authorship of a
+        submitter; a survivor's verdict carries its raw components for
+        ``query``, read from the columns.  Takes every query-scoped input
         explicitly so :class:`~repro.scale.worker.ScreenShardTask` can
         carry them across a process boundary unchanged.
         """
+        columns = self._ingested_columns()
         inst_postings = self._institutions[shard_id]
         coauthors = self._coauthors[shard_id]
         overlapping: dict[str, set[str]] = {}
@@ -349,26 +393,24 @@ class ScalePlane:
                 if c_start <= end and start <= c_end:
                     overlapping.setdefault(candidate_id, set()).add(institution)
         verdicts = []
-        for position, member in members:
+        for position, candidate_id in members:
             reasons: list[str] = []
-            if member.candidate_id in submitters:
+            if candidate_id in submitters:
                 reasons.append("submitting-author")
-            shared = sorted(
-                coauthors.get(member.candidate_id, frozenset()) & submitters
-            )
+            shared = sorted(coauthors.get(candidate_id, frozenset()) & submitters)
             reasons.extend(f"coauthor:{a}" for a in shared)
             reasons.extend(
-                f"institution:{i}"
-                for i in sorted(overlapping.get(member.candidate_id, ()))
+                f"institution:{i}" for i in sorted(overlapping.get(candidate_id, ()))
             )
+            raw = None
+            if not reasons:
+                raw = columns.raw_components(
+                    self.world.author_index(candidate_id), query
+                )
             verdicts.append(
                 (
                     position,
-                    ScaleVerdict(
-                        candidate_id=member.candidate_id,
-                        has_conflict=bool(reasons),
-                        reasons=tuple(reasons),
-                    ),
+                    ScaleVerdict(candidate_id, bool(reasons), tuple(reasons), raw),
                 )
             )
         return verdicts
@@ -388,86 +430,43 @@ class ScalePlane:
         stats = QueryStats()
         pool = self.retrieve(keywords, limit=pool_limit)
         stats.pool_size = len(pool)
-        verdicts = self.screen(pool, submitter_ids)
+        query = ManuscriptQuery.compile(tuple(keywords), query_expansions(keywords))
         survivors = [
-            member
-            for member, verdict in zip(pool, verdicts)
+            verdict
+            for verdict in self.screen(pool, submitter_ids, query)
             if not verdict.has_conflict
         ]
         stats.screened_out = len(pool) - len(survivors)
-        query = ManuscriptQuery.compile(tuple(keywords), query_expansions(keywords))
-        hits = self._score(survivors, query, k)
+        hits = self._score(survivors, k)
         stats.scored = len(survivors)
         return hits, stats
 
-    def component_rows(
-        self, candidate_ids: list[str], query: ManuscriptQuery
-    ) -> list[tuple]:
-        """The per-shard half of scoring: raw components of survivors.
+    def _score(self, survivors: list[ScaleVerdict], k: int) -> list[ScaleHit]:
+        """Score the whole pool from its survivors' raw components.
 
-        Realises each candidate, reads its features through the plane's
-        store and returns ``(candidate_id, name, raw)`` per candidate,
-        where ``raw`` holds the six raw §2.3 components in
-        :data:`~repro.scoring.engine.COMPONENTS` order.  Plain tuples,
-        so :class:`~repro.scale.worker.ComponentRowsTask` can ship them
-        back across a process boundary; the scoring context comes from
-        the world config, which a rehydrated replica shares.
-        """
-        candidates = [candidate_of(self.world, c) for c in candidate_ids]
-        feats = self.features.features_for_many(candidates, self._context)
-        return [
-            (
-                candidate.candidate_id,
-                candidate.name,
-                (
-                    topic_coverage(features, candidate.matched_keywords, query),
-                    scientific_impact(features, self._config),
-                    recency(features, query),
-                    features.review_experience,
-                    outlet_familiarity(features, query),
-                    features.timeliness,
-                ),
-            )
-            for candidate, features in zip(candidates, feats)
-        ]
-
-    def _score(
-        self, survivors: list[PoolMember], query: ManuscriptQuery, k: int
-    ) -> list[ScaleHit]:
-        """Shard-parallel raw components, then one pool-wide score.
-
-        Each shard computes its survivors' raw components; the parent scores
-        the whole pool with :func:`~repro.scoring.engine.pool_scorer`
-        (normalisation by the pool maxima is the one genuinely global
-        step) and keeps the top-k under the canonical tie-break.
+        Normalisation by the pool maxima is the one genuinely global
+        step, so it runs here, over every shard's rows:
+        :func:`~repro.scoring.engine.pool_scorer` scores each survivor
+        and the top-k is cut under the canonical tie-break.
         """
         if not survivors:
             return []
         obs = get_obs()
-        partitions: dict[int, list[str]] = {}
-        for member in survivors:
-            partitions.setdefault(
-                shard_of(member.candidate_id, self.n_shards), []
-            ).append(member.candidate_id)
-        with obs.span(
-            "scale.score", shards=len(partitions), candidates=len(survivors)
-        ):
-            per_shard_rows = self._fan_out(
-                [
-                    ComponentRowsTask(candidate_ids=tuple(ids), query=query)
-                    for __, ids in sorted(partitions.items())
-                ]
-            )
-            rows = [row for shard_rows in per_shard_rows for row in shard_rows]
-            maxima = [max(column) for column in zip(*(raw for __, __, raw in rows))]
+        with obs.span("scale.score", candidates=len(survivors)):
+            maxima = [max(column) for column in zip(*(v.raw for v in survivors))]
             score = pool_scorer(self._config, maxima)
-            hits = []
-            for candidate_id, name, raw in rows:
-                total, components = score(raw)
-                hits.append(ScaleHit(candidate_id, name, total, components))
-        return heapq.nsmallest(
-            k, hits, key=lambda h: (-h.total_score, h.candidate_id)
-        )
+            scored = [(score(v.raw), v.candidate_id) for v in survivors]
+            best = heapq.nsmallest(k, scored, key=lambda s: (-s[0][0], s[1]))
+        names = self._ingested_columns().names
+        return [
+            ScaleHit(
+                candidate_id,
+                names[self.world.author_index(candidate_id)],
+                total,
+                components,
+            )
+            for (total, components), candidate_id in best
+        ]
 
 
 def query_expansions(
@@ -489,67 +488,6 @@ def query_expansions(
         )
         for label in terms
     ]
-
-
-def candidate_of(world, candidate_id: str):
-    """A pipeline :class:`~repro.core.models.Candidate` realised from a
-    streamed world (the owning block comes via the world's LRU)."""
-    from repro.core.models import Candidate
-    from repro.scholarly.records import MergedProfile
-
-    scholar = world.scholar(candidate_id)
-    author = scholar.author
-    citations = [p.citation_count for p in scholar.publications]
-    pubs = [
-        {
-            "id": p.pub_id,
-            "title": p.title,
-            "year": p.year,
-            "keywords": list(p.keywords),
-            "venue": world.venues[p.venue_id].name,
-        }
-        for p in scholar.publications
-    ]
-    venue_counts: dict[str, int] = {}
-    on_time = 0
-    for review in scholar.reviews:
-        venue = world.venues[review.venue_id].name
-        venue_counts[venue] = venue_counts.get(venue, 0) + 1
-        on_time += 1 if review.on_time else 0
-    ontology = world.ontology
-    interests = tuple(
-        ontology.topic(t).label for t in sorted(author.topic_expertise)
-    )
-    profile = MergedProfile(
-        canonical_name=author.name,
-        source_ids=((SourceName.DBLP, candidate_id),),
-        affiliations=author.affiliations,
-        interests=interests,
-        metrics=Metrics(
-            citations=sum(citations),
-            h_index=compute_h_index(citations),
-            i10_index=compute_i10_index(citations),
-        ),
-        publication_ids=tuple(p.pub_id for p in scholar.publications),
-        review_ids=tuple(r.review_id for r in scholar.reviews),
-    )
-    return Candidate(
-        candidate_id=candidate_id,
-        name=author.name,
-        profile=profile,
-        scholar_publications=pubs,
-        dblp_publications=pubs,
-        review_count=len(scholar.reviews),
-        on_time_rate=(
-            round(on_time / len(scholar.reviews), 4)
-            if scholar.reviews
-            else None
-        ),
-        venues_reviewed=[
-            {"venue": venue, "count": count}
-            for venue, count in sorted(venue_counts.items())
-        ],
-    )
 
 
 def _normalize_query(

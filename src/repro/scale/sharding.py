@@ -26,13 +26,14 @@ Documents enter once, through :meth:`ShardedInvertedIndex.add` at
 ingest.  Each shard carries its own lock and epoch stamp: an add
 advances only its owning shard's stamp, and ``bump_epoch()`` advances
 every stamp at once, so a plane-level refresh invalidates all cached
-derived state (the scale plane's feature store) in one step.
+derived state in one step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import threading
 from collections.abc import Iterable, Mapping
 
@@ -53,27 +54,29 @@ def shard_of(doc_id: str, n_shards: int) -> int:
     return int.from_bytes(digest, "big") % n_shards
 
 
+def _canonical(item: tuple[str, float]) -> tuple[float, str]:
+    """The ``(-score, doc_id)`` ranking key of a ``(doc_id, score)`` item."""
+    return (-item[1], item[0])
+
+
 def merge_scored(
     score_maps: Iterable[Mapping[str, float]], limit: int | None = None
 ) -> list[Posting]:
     """Fold per-shard score maps into the canonical ranked result list.
 
     The one merge :meth:`ShardedInvertedIndex.search` and
-    :meth:`~repro.scale.plane.ScalePlane.retrieve` share: flatten in
-    shard order, cut to ``limit`` with the ``(-weight, doc_id)`` heap,
-    sort under the same key.  Each document lives in exactly one shard, so no
-    cross-map combination is needed — which is why the merged floats
-    equal the monolithic index's bit-for-bit.
+    :meth:`~repro.scale.plane.ScalePlane.retrieve` share.  Each map is
+    one shard's :meth:`ShardedInvertedIndex.score_shard` result, already
+    in ``(-weight, doc_id)`` order, so the fold is a k-way merge that
+    stops after ``limit`` postings (a negative ``limit`` keeps all).
+    Each document lives in exactly one shard, so no cross-map
+    combination is needed — which is why the merged floats equal the
+    monolithic index's bit-for-bit.
     """
-    results = [
-        Posting(doc_id=d, weight=s)
-        for scores in score_maps
-        for d, s in scores.items()
-    ]
-    if limit is not None and 0 <= limit < len(results):
-        results = heapq.nsmallest(limit, results, key=lambda p: (-p.weight, p.doc_id))
-    results.sort(key=lambda p: (-p.weight, p.doc_id))
-    return results
+    merged = heapq.merge(*(scores.items() for scores in score_maps), key=_canonical)
+    if limit is not None and limit >= 0:
+        merged = itertools.islice(merged, limit)
+    return [Posting(doc_id=d, weight=s) for d, s in merged]
 
 
 class _Shard:
@@ -204,16 +207,24 @@ class ShardedInvertedIndex:
         terms: list[str],
         query_weights: Mapping[str, float] | None = None,
         idf: Mapping[str, float] | None = None,
+        limit: int | None = None,
     ) -> dict[str, float]:
         """Score one shard's documents against a query, under its lock.
 
         The per-shard unit of :meth:`search`, exposed so task
         descriptors (see :mod:`repro.scale.worker`) can run exactly the
         same computation against a plane or a pool worker's replica.
+        The map comes back in ``(-score, doc_id)`` order — what
+        :func:`merge_scored` folds — and with ``limit``, cut to the
+        shard's top ``limit``: a global top-``limit`` can hold no other
+        document of this shard.
         """
         shard = self._shards[shard_id]
         with shard.lock:
-            return shard.index.score_terms(terms, query_weights, idf=idf)
+            scores = shard.index.score_terms(terms, query_weights, idf=idf)
+        if limit is None or not 0 <= limit < len(scores):
+            return dict(sorted(scores.items(), key=_canonical))
+        return dict(heapq.nsmallest(limit, scores.items(), key=_canonical))
 
     def search(
         self,
@@ -232,7 +243,7 @@ class ShardedInvertedIndex:
         idf = self.global_idf(term_list) if use_idf else None
         return merge_scored(
             (
-                self.score_shard(shard_id, term_list, query_weights, idf)
+                self.score_shard(shard_id, term_list, query_weights, idf, limit)
                 for shard_id in range(len(self._shards))
             ),
             limit,

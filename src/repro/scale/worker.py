@@ -7,18 +7,20 @@ the bridge that makes the process backend cheap instead:
 
 - :class:`ScaleWorkerBootstrap` carries only what a fresh interpreter
   needs to rebuild everything — the world *config* (seed included), the
-  world's block/cache geometry and the shard count.  Its ``hydrate()``
+  world's block size and the shard count.  Its ``hydrate()``
   runs once per pool worker (via the executor's initializer) and
   reconstructs a full plane replica; the
   :class:`~repro.world.streaming.StreamingWorld`'s derive-anything-from-
   the-seed property guarantees the replica is bit-identical to the
   parent's plane, so shard tasks can run against it interchangeably.
 - The task descriptors (:class:`RetrieveShardTask`,
-  :class:`ScreenShardTask`, :class:`ComponentRowsTask`) are small frozen
-  dataclasses holding only per-query data: keywords, idf maps,
-  pool-member ids, the compiled query.  Each knows how to :meth:`run`
-  itself against a plane.  Pool-wide scoring needs every shard's rows,
-  so it runs in the parent, not in a descriptor.  The plane
+  :class:`ScreenShardTask`) are small frozen dataclasses holding only
+  per-query data: keywords, idf maps, pool-member ids, the compiled
+  query.  Each knows how to :meth:`run` itself against a plane.  A
+  query costs two fan-outs: retrieval, then one screen task per shard
+  that also reads its survivors' raw components from the columns.
+  Pool-wide scoring needs every shard's rows, so it runs in the parent,
+  not in a descriptor.  The plane
   ships them under every executor — in-process executors run them
   against the plane itself, a process pool against a hydrated replica —
   so "bit-identical at 1/2/8 processes" is a structural property rather
@@ -49,17 +51,11 @@ class ScaleWorkerBootstrap:
     world_config: object
     n_shards: int
     block_size: int = 32
-    cache_blocks: int = 64
 
     @classmethod
     def for_plane(cls, plane) -> "ScaleWorkerBootstrap":
         """The bootstrap that replicates ``plane`` in a worker."""
-        return cls(
-            world_config=plane.world.config,
-            n_shards=plane.n_shards,
-            block_size=plane.world.block_size,
-            cache_blocks=plane.world.cache_blocks,
-        )
+        return cls.for_world(plane.world, plane.n_shards)
 
     @classmethod
     def for_world(cls, world, n_shards: int) -> "ScaleWorkerBootstrap":
@@ -68,25 +64,22 @@ class ScaleWorkerBootstrap:
             world_config=world.config,
             n_shards=int(n_shards),
             block_size=world.block_size,
-            cache_blocks=world.cache_blocks,
         )
 
     def hydrate(self):
         """Rebuild the plane replica (runs once, inside the worker).
 
         Streams the world through :meth:`ScalePlane.ingest`, so the
-        worker's index/COI structures equal the parent's.  All telemetry
-        this emits lands in the worker's local registry, which ships
-        home with the first result batch.
+        worker's index/COI structures and ranking columns equal the
+        parent's.  Ingest realises blocks transiently and queries read
+        only columns, so the replica's world needs no block cache size.
+        All telemetry this emits lands in the worker's local registry,
+        which ships home with the first result batch.
         """
         from repro.scale.plane import ScalePlane
         from repro.world.streaming import StreamingWorld
 
-        world = StreamingWorld(
-            self.world_config,
-            block_size=self.block_size,
-            cache_blocks=self.cache_blocks,
-        )
+        world = StreamingWorld(self.world_config, block_size=self.block_size)
         plane = ScalePlane(world, n_shards=self.n_shards)
         plane.ingest()
         return plane
@@ -104,21 +97,30 @@ class RetrieveShardTask:
     terms: tuple[str, ...]
     weights: dict[str, float] | None = None
     idf: dict[str, float] = field(default_factory=dict)
+    #: The query's pool cap: the shard returns only its top ``limit``.
+    limit: int | None = None
 
     def run(self, plane) -> dict[str, float]:
         return plane.index.score_shard(
-            self.shard_id, list(self.terms), self.weights, self.idf
+            self.shard_id, list(self.terms), self.weights, self.idf, self.limit
         )
 
 
 @dataclass(frozen=True)
 class ScreenShardTask:
-    """COI-screen one shard's slice of the retrieved pool."""
+    """COI-screen one shard's slice of the retrieved pool.
+
+    ``members`` are ``(pool position, candidate id)`` pairs.  ``query``
+    is the compiled :class:`~repro.scoring.query.ManuscriptQuery` the
+    plane built once: each survivor's verdict also carries its raw §2.3
+    components, so scoring needs no fan-out of its own.
+    """
 
     shard_id: int
-    members: tuple[tuple[int, object], ...]
+    members: tuple[tuple[int, str], ...]
     submitters: frozenset[str]
     submitter_affs: tuple[tuple[str, int, int], ...]
+    query: object
 
     def run(self, plane) -> list:
         return plane.screen_shard(
@@ -126,27 +128,13 @@ class ScreenShardTask:
             list(self.members),
             set(self.submitters),
             list(self.submitter_affs),
+            self.query,
         )
-
-
-@dataclass(frozen=True)
-class ComponentRowsTask:
-    """Raw §2.3 components for one shard's survivors.
-
-    ``query`` is the compiled :class:`~repro.scoring.query.ManuscriptQuery`
-    the plane built once for the whole query.
-    """
-
-    candidate_ids: tuple[str, ...]
-    query: object
-
-    def run(self, plane) -> list[tuple]:
-        return plane.component_rows(list(self.candidate_ids), self.query)
 
 
 #: Every descriptor type the scale plane ships to workers (the pickle
 #: round-trip test enumerates these).
-TASK_TYPES = (RetrieveShardTask, ScreenShardTask, ComponentRowsTask)
+TASK_TYPES = (RetrieveShardTask, ScreenShardTask)
 
 
 def run_scale_task(task):

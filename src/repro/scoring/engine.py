@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from repro.core.config import AggregationMethod, ImpactMetric, PipelineConfig
 from repro.core.models import (
@@ -52,7 +52,7 @@ from repro.obs import get_obs
 from repro.obs.ledger import charge_pruning
 from repro.ontology.expansion import ExpandedKeyword
 from repro.scoring.aggregate import owa_aggregate, weighted_total
-from repro.scoring.features import CandidateFeatures, FeatureStore, ScoringContext
+from repro.scoring.features import FeatureStore, ScoringContext
 from repro.scoring.query import ManuscriptQuery
 from repro.scoring.topk import select_top_k
 
@@ -64,14 +64,14 @@ _UB_EPSILON = 1e-12
 
 
 def topic_coverage(
-    features: CandidateFeatures,
-    matched_keywords: dict[str, float],
+    interest_set: frozenset[str],
+    matched_keywords: Mapping[str, float],
     query: ManuscriptQuery,
 ) -> float:
-    """Raw topic coverage — ``NaiveRanker._topic_coverage`` on features."""
+    """Raw topic coverage — ``NaiveRanker._topic_coverage`` on a
+    candidate's normalized interests and extraction-matched keywords."""
     if not query.seed_expansions:
         return 0.0
-    interest_set = features.interest_set
     total = 0.0
     for expansions in query.seed_expansions.values():
         best = 0.0
@@ -83,20 +83,26 @@ def topic_coverage(
     return total / len(query.seed_expansions)
 
 
-def scientific_impact(features: CandidateFeatures, config: PipelineConfig) -> float:
+def scientific_impact(
+    log_citations: float, h_index: float, config: PipelineConfig
+) -> float:
     """Raw impact — log-compressed citations or the h-index, per config."""
     if config.impact_metric is ImpactMetric.CITATIONS:
-        return features.log_citations
-    return features.h_index
+        return log_citations
+    return h_index
 
 
-def recency(features: CandidateFeatures, query: ManuscriptQuery) -> float:
-    """Raw recency — ``NaiveRanker._recency`` on precompiled pubs."""
+def recency(
+    pubs: Iterable[tuple[tuple[str, ...] | None, frozenset[str] | None, float]],
+    query: ManuscriptQuery,
+) -> float:
+    """Raw recency — ``NaiveRanker._recency`` on precompiled
+    ``(kw_norms, title_tokens, decay)`` publication rows, in order."""
     weights = query.recency_weights
     if not weights:
         return 0.0
     total = 0.0
-    for kw_norms, title_tokens, decay in features.recency_pubs:
+    for kw_norms, title_tokens, decay in pubs:
         if kw_norms is not None:
             best = 0.0
             for keyword in kw_norms:
@@ -118,13 +124,15 @@ def recency(features: CandidateFeatures, query: ManuscriptQuery) -> float:
 
 
 def outlet_familiarity(
-    features: CandidateFeatures, query: ManuscriptQuery
+    venue_review_counts: Mapping[str, int],
+    venue_pub_counts: Mapping[str, int],
+    query: ManuscriptQuery,
 ) -> float:
     """Raw outlet familiarity — integer venue counts, identical logs."""
     if not query.target_venue:
         return 0.0
-    reviews_for_outlet = features.venue_review_counts.get(query.target_venue_norm, 0)
-    papers_in_outlet = features.venue_pub_counts.get(query.target_venue_norm, 0)
+    reviews_for_outlet = venue_review_counts.get(query.target_venue_norm, 0)
+    papers_in_outlet = venue_pub_counts.get(query.target_venue_norm, 0)
     return 0.6 * math.log1p(reviews_for_outlet) + 0.4 * math.log1p(
         papers_in_outlet
     )
@@ -215,12 +223,15 @@ def rank_with_plane(
         feats = store.features_for_many(candidates, ctx)
 
         raw_tc = [
-            topic_coverage(f, c.matched_keywords, query)
+            topic_coverage(f.interest_set, c.matched_keywords, query)
             for f, c in zip(feats, candidates)
         ]
-        raw_imp = [scientific_impact(f, config) for f in feats]
+        raw_imp = [scientific_impact(f.log_citations, f.h_index, config) for f in feats]
         raw_rev = [f.review_experience for f in feats]
-        raw_out = [outlet_familiarity(f, query) for f in feats]
+        raw_out = [
+            outlet_familiarity(f.venue_review_counts, f.venue_pub_counts, query)
+            for f in feats
+        ]
         raw_tml = [f.timeliness for f in feats]
         max_tc = max(raw_tc)
         max_imp = max(raw_imp)
@@ -241,7 +252,7 @@ def rank_with_plane(
         def exact_recency(i: int) -> float:
             value = exact_rec[i]
             if value is None:
-                value = exact_rec[i] = recency(feats[i], query)
+                value = exact_rec[i] = recency(feats[i].recency_pubs, query)
             return value
 
         if query.max_weight <= 0.0:
@@ -272,7 +283,7 @@ def rank_with_plane(
         else:
             ubs = []
             for i in range(n):
-                exact_rec[i] = recency(feats[i], query)
+                exact_rec[i] = recency(feats[i].recency_pubs, query)
             max_rec = max(exact_rec)
 
         maxima = (max_tc, max_imp, max_rec, max_rev, max_out, max_tml)

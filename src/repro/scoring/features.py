@@ -142,6 +142,24 @@ def concretize_interval(
     return start_year, end_year if end_year is not None else _OPEN_END_YEAR
 
 
+def recency_terms(
+    keywords, title: str
+) -> tuple[tuple[str, ...] | None, frozenset[str] | None] | None:
+    """A publication's recency match terms: ``(kw_norms, None)`` from its
+    keywords, else ``(None, title_tokens)``; ``None`` when it has neither
+    (the naive loop scores such a publication 0)."""
+    if keywords:
+        return tuple(normalize_keyword(k) for k in keywords), None
+    title_tokens = frozenset(tokenize(title))
+    return (None, title_tokens) if title_tokens else None
+
+
+def decay_factor(year: int, ctx: ScoringContext) -> float:
+    """``0.5 ** (age / half_life)``, the recency decay of a ``year`` paper."""
+    age = max(0, ctx.current_year - year)
+    return 0.5 ** (age / ctx.half_life_years)
+
+
 def build_candidate_features(
     candidate: Candidate, ctx: ScoringContext
 ) -> CandidateFeatures:
@@ -173,20 +191,11 @@ def build_candidate_features(
         year = pub.get("year")
         if year is None:
             continue
-        keywords = pub.get("keywords")
-        if keywords:
-            kw_norms: tuple[str, ...] | None = tuple(
-                normalize_keyword(k) for k in keywords
-            )
-            title_tokens = None
-        else:
-            kw_norms = None
-            title_tokens = frozenset(tokenize(pub.get("title", "")))
-            if not title_tokens:
-                continue
-        age = max(0, ctx.current_year - year)
-        decay = 0.5 ** (age / ctx.half_life_years)
-        recency_pubs.append((kw_norms, title_tokens, decay))
+        terms = recency_terms(pub.get("keywords"), pub.get("title", ""))
+        if terms is None:
+            continue
+        decay = decay_factor(year, ctx)
+        recency_pubs.append((*terms, decay))
         decay_mass += decay
 
     dblp_years: dict[str, int] = {}

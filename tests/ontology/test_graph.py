@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.ontology import graph as graph_module
+from repro.ontology.data import build_seed_ontology
 from repro.ontology.graph import Relation, Topic, TopicOntology, UnknownTopicError
+from repro.text.normalize import slugify
 
 
 @pytest.fixture()
@@ -70,6 +73,50 @@ class TestTopics:
             "RDF",
             "resource description framework",
         )
+
+
+class TestSlugFastPath:
+    """``topic``/``neighbors``/``in`` try the exact id before slugifying."""
+
+    @pytest.fixture()
+    def slug_calls(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return slugify(text)
+
+        monkeypatch.setattr(graph_module, "slugify", counting)
+        return calls
+
+    def test_slug_skips_slugify(self, onto, slug_calls):
+        assert onto.topic("rdf").label == "RDF"
+        assert "sw" in onto
+        assert [t.topic_id for t, __ in onto.neighbors("sw")] == ["cs", "lod", "rdf"]
+        assert slug_calls == []
+
+    def test_free_text_still_resolves(self, slug_calls):
+        graph = TopicOntology()
+        graph.add_topic("Semantic Web")
+        graph.add_topic("rdf", "RDF")
+        graph.add_edge("rdf", Relation.BROADER, "semantic-web")
+        slug_calls.clear()
+        assert graph.topic("Semantic Web!").topic_id == "semantic-web"
+        assert "Semantic Web!" in graph
+        assert [t.topic_id for t, __ in graph.neighbors("Semantic Web!")] == ["rdf"]
+        assert slug_calls == ["Semantic Web!"] * 3
+
+    def test_unknown_id_raises_with_slug(self, onto):
+        for lookup in (onto.topic, onto.neighbors):
+            with pytest.raises(UnknownTopicError) as err:
+                lookup("Quantum Basket Weaving!")
+            assert err.value.topic_id == "quantum-basket-weaving"
+        assert "Quantum Basket Weaving!" not in onto
+
+    def test_seed_ids_are_slug_fixed_points(self):
+        seed = build_seed_ontology()
+        assert len(seed) > 0
+        assert all(slugify(t.topic_id) == t.topic_id for t in seed.topics())
 
 
 class TestFind:

@@ -7,9 +7,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.concurrency import create_executor
-from repro.scale.bench import paper_reference_topk, popular_labels
-from repro.scale.plane import ScalePlane
-from repro.scoring.engine import COMPONENTS
+from repro.core.config import PipelineConfig
+from repro.scale.bench import candidate_of, paper_reference_topk, popular_labels
+from repro.scale.plane import (
+    PlaneNotIngestedError,
+    PoolMember,
+    ScalePlane,
+    query_expansions,
+)
+from repro.scoring.engine import (
+    COMPONENTS,
+    outlet_familiarity,
+    recency,
+    scientific_impact,
+    topic_coverage,
+)
+from repro.scoring.features import ScoringContext, build_candidate_features
+from repro.scoring.query import ManuscriptQuery
 from repro.world.config import WorldConfig
 from repro.world.streaming import StreamingWorld
 
@@ -44,6 +58,10 @@ def reference(scale_world, keywords, submitters):
 @pytest.fixture(scope="module")
 def ghost_reference(scale_world, keywords, submitters):
     return paper_reference_topk(scale_world, keywords, [*submitters, _GHOST], k=10)
+
+
+def _query(keywords):
+    return ManuscriptQuery.compile(tuple(keywords), query_expansions(keywords))
 
 
 def _plane(scale_world, n_shards, workers=1):
@@ -159,8 +177,9 @@ class TestScreening:
         plane = _plane(scale_world, 4)
         scholar = scale_world.scholar("author-5")
         coauthor = sorted(scholar.coauthor_ids)[0]
-        pool = plane.retrieve(dict(scale_world.interest_weights(scale_world.author_index(coauthor))))
-        verdicts = plane.screen(pool, ["author-5"])
+        interests = dict(scale_world.interest_weights(scale_world.author_index(coauthor)))
+        pool = plane.retrieve(interests)
+        verdicts = plane.screen(pool, ["author-5"], _query(interests))
         by_id = {v.candidate_id: v for v in verdicts}
         assert coauthor in by_id
         assert by_id[coauthor].has_conflict
@@ -169,17 +188,18 @@ class TestScreening:
     def test_unknown_submitter_screens_nothing_extra(self, scale_world, keywords):
         plane = _plane(scale_world, 4)
         pool = plane.retrieve(keywords)
-        baseline = plane.screen(pool, [])
-        with_ghost = plane.screen(pool, ["author-99999"])
+        baseline = plane.screen(pool, [], _query(keywords))
+        with_ghost = plane.screen(pool, ["author-99999"], _query(keywords))
         assert baseline == with_ghost
 
     def test_verdicts_in_pool_order(self, scale_world, keywords):
         plane = _plane(scale_world, 16)
         pool = plane.retrieve(keywords)
-        verdicts = plane.screen(pool, ["author-0"])
+        verdicts = plane.screen(pool, ["author-0"], _query(keywords))
         assert [v.candidate_id for v in verdicts] == [
             m.candidate_id for m in pool
         ]
+        assert all((v.raw is None) == v.has_conflict for v in verdicts)
 
 
 class TestIngest:
@@ -190,15 +210,74 @@ class TestIngest:
         assert stats["coi_candidates"] == 200
         assert stats["shards"] == 8
 
-    def test_refresh_invalidates_features(self, scale_world, keywords, submitters):
+    def test_refresh_leaves_topk_identical(self, scale_world, keywords, submitters):
+        """The columns are a pure function of the seed: a refresh bumps
+        the index epoch and changes no answer."""
         plane = _plane(scale_world, 4)
         first, __ = plane.topk(keywords, submitters, k=5)
-        built = plane.features.built
-        plane.refresh()
+        epoch = plane.refresh()
+        assert epoch == plane.index.epoch
         second, __ = plane.topk(keywords, submitters, k=5)
         assert second == first
-        assert plane.features.built == 2 * built
 
     def test_validation(self, scale_world):
         with pytest.raises(ValueError):
             ScalePlane(scale_world, n_shards=0)
+
+    def test_query_before_ingest_raises(self):
+        plane = ScalePlane(StreamingWorld(WorldConfig(author_count=64)), n_shards=4)
+        with pytest.raises(PlaneNotIngestedError, match=r"ingest\(\)"):
+            plane.topk(["Name Disambiguation"], [], k=3)
+        with pytest.raises(PlaneNotIngestedError):
+            plane.retrieve(["Name Disambiguation"])
+        assert plane.stats()["columns"] is None
+        plane.ingest()
+        hits, stats = plane.topk(["Name Disambiguation"], [], k=3)
+        assert stats.pool_size > 0 and hits
+
+
+class TestColumns:
+    def test_rows_equal_candidate_features(self, scale_world, keywords):
+        """Every scholar's column-served raw components equal what the
+        pipeline's features and engine functions compute from the
+        realised candidate — scholars without reviews included."""
+        plane = _plane(scale_world, 4)
+        ids = [f"author-{i}" for i in range(_CONFIG.author_count)]
+        query = _query(keywords)
+        config = PipelineConfig(current_year=_CONFIG.current_year)
+        ctx = ScoringContext.from_config(config)
+        expected = []
+        no_reviews = 0
+        for candidate_id in ids:
+            candidate = candidate_of(scale_world, candidate_id)
+            no_reviews += candidate.review_count == 0
+            f = build_candidate_features(candidate, ctx)
+            raw = (
+                topic_coverage(f.interest_set, candidate.matched_keywords, query),
+                scientific_impact(f.log_citations, f.h_index, config),
+                recency(f.recency_pubs, query),
+                f.review_experience,
+                outlet_familiarity(f.venue_review_counts, f.venue_pub_counts, query),
+                f.timeliness,
+            )
+            expected.append((candidate_id, raw))
+        assert no_reviews > 0
+        verdicts = plane.screen([PoolMember(c, 0.0) for c in ids], [], query)
+        assert [(v.candidate_id, v.raw) for v in verdicts] == expected
+
+    def test_ingest_freezes_columns(self, scale_world):
+        """Ingest drops the columns' dedup maps; no scholar can follow."""
+        plane = _plane(scale_world, 4)
+        with pytest.raises(RuntimeError, match="frozen"):
+            plane._columns.append("late", {}, [], [])
+        assert plane.stats()["columns"]["scholars"] == _CONFIG.author_count
+
+    def test_no_block_realised_by_queries(self, keywords, submitters):
+        world = StreamingWorld(_CONFIG, block_size=8, cache_blocks=2)
+        plane = ScalePlane(world, n_shards=4)
+        plane.ingest()
+        before = world.stats()["blocks_realized"]
+        for k in (1, 10, 200):
+            hits, __ = plane.topk(keywords, submitters, k=k)
+            assert hits
+        assert world.stats()["blocks_realized"] == before

@@ -17,7 +17,6 @@ from repro.scale.bench import paper_reference_topk, popular_labels
 from repro.scale.plane import ScalePlane, query_expansions
 from repro.scale.worker import (
     TASK_TYPES,
-    ComponentRowsTask,
     RetrieveShardTask,
     ScaleWorkerBootstrap,
     ScreenShardTask,
@@ -174,15 +173,13 @@ class TestDescriptorPickling:
                 terms=("graphs", "graphs", "ml"),
                 weights={"graphs": 1.0, "ml": 0.5},
                 idf={"graphs": 1.25, "ml": 2.5},
+                limit=50,
             ),
             ScreenShardTask: ScreenShardTask(
                 shard_id=0,
                 members=((3, "author-3"), (7, "author-7")),
                 submitters=frozenset({"author-0"}),
                 submitter_affs=(("mit", 1, 2),),
-            ),
-            ComponentRowsTask: ComponentRowsTask(
-                candidate_ids=("author-3", "author-7"),
                 query=ManuscriptQuery.compile(
                     ("graphs", "ml"), query_expansions({"graphs": 1.0, "ml": 0.5})
                 ),

@@ -81,6 +81,22 @@ class TestSearchParity:
                 _TERMS, limit=limit
             )
 
+    def test_shard_cut_keeps_tied_top(self):
+        """Every document scores alike, so only the doc-id tie-break
+        decides which ones a shard's local cut keeps."""
+        mono, sharded = InvertedIndex(), ShardedInvertedIndex(4)
+        for i in range(60):
+            mono.add(f"doc-{i}", {"rdf": 1.0})
+            sharded.add(f"doc-{i}", {"rdf": 1.0})
+        for limit in (1, 3, 7, 59, 60):
+            assert sharded.search(["rdf"], limit=limit) == mono.search(
+                ["rdf"], limit=limit
+            )
+            for shard_id in range(4):
+                cut = sharded.score_shard(shard_id, ["rdf"], limit=limit)
+                assert len(cut) <= limit
+                assert cut.items() <= sharded.score_shard(shard_id, ["rdf"]).items()
+
     @pytest.mark.parametrize("workers", [2, 8])
     def test_threaded_fanout_identical(self, workers):
         # Concurrent searches share the per-shard locks and still see
